@@ -22,10 +22,11 @@ checks the outputs:
   simulated cell drained (``stable``);
 * scenario epochs report no SINR violations;
 * the rows, minus ``TIMING_FIELDS``, hash to the same digest on every
-  pass and on every earlier run with the same seed in this checkout,
-  and ``sweep-inline`` and ``sweep-pool`` rows are equal;
-* each error row matches a documented known defect; any other counts
-  as a failed operation.
+  pass and on every earlier run of the same code with the same seed in
+  this checkout, and ``sweep-inline`` and ``sweep-pool`` rows are equal;
+* each error row is on a cell of a documented known defect, with that
+  defect's error; any other error row fails the check and counts as a
+  failed operation.
 
 Human-readable lines come first; the last line of standard output is
 one JSON object with ``correct``, ``attempted``, ``failed`` and
@@ -47,7 +48,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import layers
 
@@ -56,9 +57,10 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 
 #: Cold interpreters started to time set-up; the median is reported.
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
-#: Where digests of earlier runs are kept, inside the checkout.
+#: Where digests of earlier runs are kept, inside the checkout, keyed by
+#: workload, seed and a hash of the code under test (:func:`code_hash`).
 STATE_FILE = ROOT / ".perfbench-state" / "digests.json"
 
 #: Cells per pass from which the p90 has at least ten samples beyond it.
@@ -206,23 +208,48 @@ def verify_simulations(passes: List[Pass]) -> List[str]:
     return problems
 
 
-def known_defect(error: str) -> Optional[str]:
-    from workloads import KNOWN_DEFECTS
+def check_errors(passes: List[Pass]) -> Tuple[List[str], int]:
+    """Print every error row; return the problems and the number of
+    error rows that are not a known defect on its own cell."""
+    from workloads import known_defect
 
-    for kind, fragment, where in KNOWN_DEFECTS:
-        if error.startswith(kind + ":") and fragment in error:
-            return where
-    return None
+    problems = []
+    unexpected = 0
+    for i, p in enumerate(passes):
+        for row in p.rows:
+            if row.ok:
+                continue
+            defect = known_defect(row)
+            known = defect is not None and defect.matches(row.error or "")
+            if i == 0:
+                label = f"known defect: {defect.where}" if known else "UNEXPECTED"
+                print(f"error row: {row.cell_id}: {row.error} [{label}]")
+            if not known:
+                unexpected += 1
+                problems.append(f"{row.cell_id}: unexpected error: {row.error}")
+    return problems, unexpected
+
+
+def code_hash() -> str:
+    """SHA-256 over the program's and the benchmark's Python sources."""
+    digest = hashlib.sha256()
+    for base in (SRC, BENCH_DIR):
+        for path in sorted(base.rglob("*.py")):
+            digest.update(str(path.relative_to(ROOT)).encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def check_digests(workload: Any, seed: int, digests: List[str]) -> List[str]:
     """Compare this run's row digest with every pass and with earlier
-    runs of the same rows in this checkout, then record it."""
+    runs of the same rows by the same code in this checkout, then
+    record it."""
     problems = []
     if len(set(digests)) > 1:
         problems.append(f"row digest changed between passes: {digests}")
-    # Both sweeps run the same cells, so they share one key.
-    key = f"{'sweep' if workload.jobs else workload.name}:{seed}"
+    # Both sweeps run the same cells, so they share one key.  Only runs
+    # of the same sources are compared: a change may change the rows.
+    key = f"{'sweep' if workload.jobs else workload.name}:{seed}:{code_hash()}"
     state = json.loads(STATE_FILE.read_text()) if STATE_FILE.exists() else {}
     earlier = state.get(key)
     if earlier is None:
@@ -245,16 +272,27 @@ def check_digests(workload: Any, seed: int, digests: List[str]) -> List[str]:
 # Metrics
 # ----------------------------------------------------------------------
 def peak_rss_mb() -> float:
+    """Peak resident memory of this process plus its largest child so
+    far.  Read right after the timed passes, before the output checks
+    and the set-up probes, so the only children are pool workers."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + children) / 1024.0
 
 
-def end_to_end(passes: List[Pass], setup: List[float]) -> Dict[str, Any]:
-    """The metrics a user sees; ``None`` where one does not apply."""
+def end_to_end(passes: List[Pass], setup: List[float], rss_mb: float) -> Dict[str, Any]:
+    """The metrics a user sees; ``None`` where one does not apply.
+
+    ``slots_total`` leaves out the cells of known defects, so that
+    fixing one does not read as a loss; an error on any other cell
+    fails the output checks instead of dropping out of the sum.
+    """
+    from workloads import known_defect
+
     cells = [row.wall_time_s for p in passes for row in p.rows]
     rows = passes[0].rows
     ok = [r for r in rows if r.ok]
+    certified = [r for r in ok if known_defect(r) is None]
     simulated = [r.mean_latency for r in ok if r.mean_latency is not None]
     warned = sum(len(rec["warnings"]) for p in passes for rec in p.records)
     return {
@@ -266,10 +304,12 @@ def end_to_end(passes: List[Pass], setup: List[float]) -> Dict[str, Any]:
             if len(rows) >= P90_MIN_CELLS else None,
             "s",
         ),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
+        "peak_rss_mb": (rss_mb, "MB"),
         "failed_frac": (sum(not r.ok for r in rows) / len(rows), "ratio"),
         "numeric_warnings": (warned / len(passes), "count"),
-        "slots_total": (sum(r.slots for r in ok if r.slots is not None), "count"),
+        "slots_total": (
+            sum(r.slots for r in certified if r.slots is not None), "count"
+        ),
         "latency_mean_slots": (
             statistics.fmean(simulated) if simulated else None, "slots"
         ),
@@ -391,7 +431,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     workload = workloads.WORKLOADS[args.workload]
-    setup = measure_setup(workload.name, args.seed)
     plan = workloads.resolve(workload.name, args.seed)
     capture = layers.Capture()
     capture.install()
@@ -407,21 +446,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         passes = [first] + traced + [run_pass(workload, plan, traced=False)]
     else:
         passes = run_passes(workload, plan, args.seconds, False)
+    rss_mb = peak_rss_mb()
+    setup = measure_setup(workload.name, args.seed)
 
     digests = [rows_digest(p.rows) for p in passes]
     problems = verify_schedules(passes) + verify_simulations(passes)
     problems += check_digests(workload, args.seed, digests)
-    for row in passes[0].rows:
-        if not row.ok:
-            where = known_defect(row.error or "")
-            print(
-                f"error row: {row.cell_id}: {row.error} "
-                f"[{'known defect: ' + where if where else 'UNEXPECTED'}]"
-            )
-    unexpected = sum(
-        not row.ok and known_defect(row.error or "") is None
-        for p in passes for row in p.rows
-    )
+    error_problems, unexpected = check_errors(passes)
+    problems += error_problems
     warned = Counter(w for record in passes[0].records for w in record["warnings"])
     for message, count in sorted(warned.items()):
         print(f"warning x{count}: {message}")
@@ -438,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("pass wall_s: " + ", ".join(
         f"{p.wall_s:.3f}{' (traced)' if p.traced else ''}" for p in passes
     ))
-    e2e = end_to_end(untraced, setup)
+    e2e = end_to_end(untraced, setup, rss_mb)
     for name, (value, unit) in e2e.items():
         shown = f"{value:.6g} {unit}" if value is not None else "n/a"
         print(f"end_to_end {name} = {shown}")
