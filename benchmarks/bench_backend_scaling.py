@@ -53,15 +53,14 @@ BASELINE = Path("BENCH_stage_store.json")
 
 # (n, backends) rows, smallest first.  Dense-family backends stop at
 # 20k (the dense bool adjacency alone is n^2 bytes); only blocked-sparse
-# attempts 100k.  numba-jit rides the dense code path when numba is
-# absent, so measuring it past 5k would just repeat the dense row.
+# attempts 100k.
 SCALING_ROWS = (
-    [(300, ("dense-numpy", "blocked-sparse", "numba-jit")),
-     (800, ("dense-numpy", "blocked-sparse", "numba-jit")),
+    [(300, ("dense-numpy", "blocked-sparse")),
+     (800, ("dense-numpy", "blocked-sparse")),
      (5_000, ("blocked-sparse",))]
     if SMOKE
-    else [(1_000, ("dense-numpy", "blocked-sparse", "numba-jit")),
-          (5_000, ("dense-numpy", "blocked-sparse", "numba-jit")),
+    else [(1_000, ("dense-numpy", "blocked-sparse")),
+          (5_000, ("dense-numpy", "blocked-sparse")),
           (20_000, ("dense-numpy", "blocked-sparse")),
           (100_000, ("blocked-sparse",))]
 )
@@ -150,8 +149,6 @@ def _schedule_row(n: int, backend: str):
         "edges": int(graph.edge_count),
         "slots": int(colors.max()) + 1,
     }
-    if backend == "numba-jit":
-        row["jit_active"] = bool(kernel.backend.jit_active)
     return row, colors
 
 

@@ -82,7 +82,7 @@ from repro.backend import (
 # Also after backend: the distributed-sweep surface reaches back into
 # repro.jobs, whose service module needs the config/pipeline modules
 # already importable.
-from repro.cluster import Orchestrator, ServeApp, Worker
+from repro.cluster import Orchestrator, Worker
 
 __all__ = [
     "EpochResult",
@@ -101,7 +101,6 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioSpec",
     "SchedulerSpec",
-    "ServeApp",
     "SimulationResult",
     "TopologySpec",
     "TreeSpec",

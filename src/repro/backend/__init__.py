@@ -12,11 +12,8 @@ like every other pipeline axis:
     Streams every block, forbids dense ``n x n`` memos
     (``dense_builds == 0`` by construction) and assembles the conflict
     adjacency as CSR — the backend that schedules 100k-link networks.
-``numba-jit``
-    JIT-compiled block loops when numba is installed; silently
-    degrades to ``dense-numpy`` behaviour when it is not.
 
-All backends are **bit-identical by contract**: schedules, slot
+Backends are **bit-identical by contract**: schedules, slot
 assignments and measurements do not depend on the backend, which is why
 backend choice never splits a store key (:mod:`repro.store.keys`) and
 sweep rows remain comparable across backends.  Register additional
@@ -31,17 +28,14 @@ from typing import Optional, Union
 from repro.api.registry import Registry
 from repro.backend.base import NumericBackend
 from repro.backend.dense import DenseNumpyBackend
-from repro.backend.jit import NumbaJitBackend, numba_available
 from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
 
 __all__ = [
     "BlockedSparseBackend",
     "DEFAULT_BACKEND",
     "DenseNumpyBackend",
-    "NumbaJitBackend",
     "NumericBackend",
     "SparseAdjacency",
-    "numba_available",
     "numeric_backends",
     "register_backend",
     "resolve_backend",
@@ -54,7 +48,6 @@ DEFAULT_BACKEND = "dense-numpy"
 numeric_backends: Registry[NumericBackend] = Registry("numeric backend")
 numeric_backends.register(DEFAULT_BACKEND, DenseNumpyBackend())
 numeric_backends.register("blocked-sparse", BlockedSparseBackend())
-numeric_backends.register("numba-jit", NumbaJitBackend())
 
 
 def register_backend(

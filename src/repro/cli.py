@@ -21,8 +21,6 @@ through the :class:`~repro.jobs.JobService`.
 ``worker``     — join a distributed sweep as a cluster worker: lease
 cell batches from an orchestrator (``repro sweep --cluster``), run them
 through a local job service, stream results back.
-``serve``      — run the HTTP/JSONL job service: submit sweeps as
-long-lived jobs, poll status, stream result rows, cancel.
 
 Every ``choices=`` list is derived from the component registries
 (:mod:`repro.api`), so registering a topology, tree builder, power
@@ -140,9 +138,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(numeric_backends.names()),
         default="dense-numpy",
-        help="numeric backend for the SINR kernel core (all backends are "
+        help="numeric backend for the SINR kernel core (backends are "
         "bit-identical; blocked-sparse never materialises dense n x n "
-        "matrices, numba-jit degrades to dense-numpy without numba)",
+        "matrices)",
     )
 
 
@@ -447,24 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="stage-artifact transport of the worker's local job service",
     )
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the HTTP/JSONL sweep job service",
-        description="Serve sweeps as long-lived jobs over a minimal HTTP "
-        "API: POST /jobs submits a SweepSpec dict, GET /jobs/<id> polls "
-        "status, GET /jobs/<id>/stream follows result rows as JSONL, "
-        "POST /jobs/<id>/cancel stops a job.  Each job runs a normal "
-        "sweep engine in its own process, writing resumable JSONL under "
-        "the spool directory.",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_serve.add_argument("--port", type=int, default=8123, help="bind port")
-    p_serve.add_argument(
-        "--spool-dir",
-        default=".repro-serve",
-        help="directory holding one results.jsonl per submitted job",
-    )
     return parser
 
 
@@ -724,20 +704,11 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    from repro.cluster import serve_forever
-
-    serve_forever(host=args.host, port=args.port, spool_dir=args.spool_dir)
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint":
         return _run_lint(args)
     if args.command == "worker":
         return _run_worker(args)
-    if args.command == "serve":
-        return _run_serve(args)
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "scenario":

@@ -1,4 +1,4 @@
-"""Distributed sweep execution: protocol, orchestrator, worker, service.
+"""Distributed sweep execution: protocol, transport, orchestrator, worker.
 
 The cluster subsystem shards a :class:`~repro.runner.spec.SweepSpec`
 across worker processes — on one host or many — without changing any
@@ -15,8 +15,6 @@ Layering, bottom up:
   (hello/lease/result/heartbeat/goodbye) and payload codecs.
 - :mod:`repro.cluster.orchestrator` / :mod:`repro.cluster.worker` —
   the lease state machine and the cell-running peer (``repro worker``).
-- :mod:`repro.cluster.serve` — ``repro serve``, sweeps as long-lived
-  HTTP/JSONL jobs.
 """
 
 from repro.cluster.orchestrator import Lease, Orchestrator
@@ -27,13 +25,10 @@ from repro.cluster.protocol import (
     parse_address,
     validate_message,
 )
-from repro.cluster.serve import ServeApp, serve_forever
 from repro.cluster.transport import (
     FrameConnection,
     FrameServer,
-    Transport,
     connect,
-    resolve_transport,
 )
 from repro.cluster.worker import Worker, default_worker_id
 
@@ -44,14 +39,10 @@ __all__ = [
     "FrameServer",
     "Lease",
     "Orchestrator",
-    "ServeApp",
-    "Transport",
     "Worker",
     "connect",
     "default_worker_id",
     "make_message",
     "parse_address",
-    "resolve_transport",
-    "serve_forever",
     "validate_message",
 ]

@@ -3,44 +3,33 @@
 This is the *only* module in the library allowed to touch raw sockets
 (reprolint rule NET-001 enforces that, the same way BACKEND-001 pins
 ``numpy`` imports to the backend layer).  Everything above it — the
-orchestrator, the worker, the serve front-end — deals in message dicts
-from :mod:`repro.cluster.protocol`.
+orchestrator and the worker — deals in message dicts from
+:mod:`repro.cluster.protocol`, and uses :func:`connect` and
+:class:`FrameServer` directly.
 
 Framing is deliberately boring: each frame is a 4-byte big-endian
 length followed by that many bytes of UTF-8 JSON.  A frame larger than
 :data:`MAX_FRAME_BYTES` is rejected before allocation, so a corrupt
 length prefix cannot make a peer swallow gigabytes.
-
-Alternate transports (e.g. pyzmq) plug in behind the same three
-callables via :data:`TRANSPORTS` — register a ``Transport`` under a new
-name and ``resolve_transport("zmq")`` hands it to the orchestrator and
-worker unchanged.  Only the default ``"socket"`` transport ships,
-because it is the only one the container can test.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cluster.protocol import validate_message
-from repro.errors import ClusterError, ConfigurationError, ProtocolError
+from repro.errors import ClusterError, ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameConnection",
     "FrameServer",
-    "Transport",
     "connect",
-    "read_frame_async",
-    "resolve_transport",
-    "write_frame_async",
 ]
 
 #: Upper bound on one frame's JSON payload; a sweep cell or result row
@@ -183,7 +172,8 @@ class FrameServer:
     :class:`FrameConnection` plus the peer address; it owns the
     connection's lifetime.  ``port=0`` binds an ephemeral port, read
     back from :attr:`address` — tests and same-host quick-starts never
-    need to guess a free port.
+    need to guess a free port.  An address that cannot be bound (say,
+    a port already in use) raises :class:`ClusterError` naming it.
     """
 
     def __init__(
@@ -195,9 +185,15 @@ class FrameServer:
     ) -> None:
         self._handler = handler
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(64)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(64)
+        except OSError as exc:
+            self._sock.close()
+            raise ClusterError(
+                f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+            ) from None
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self._stopping = threading.Event()
         self._thread = threading.Thread(
@@ -244,68 +240,3 @@ class FrameServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-
-# ----------------------------------------------------------------------
-# asyncio variants (used by repro serve's JSONL streaming endpoints)
-# ----------------------------------------------------------------------
-async def read_frame_async(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one validated frame from an asyncio stream."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-        (length,) = _LENGTH.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"incoming frame of {length} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte frame limit"
-            )
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, OSError) as exc:
-        raise ClusterError(f"cluster recv failed: {exc}") from None
-    return _decode_payload(payload)
-
-
-async def write_frame_async(
-    writer: asyncio.StreamWriter, message: Dict[str, Any]
-) -> None:
-    """Write one frame to an asyncio stream and drain."""
-    writer.write(_encode_frame(message))
-    try:
-        await writer.drain()
-    except OSError as exc:
-        raise ClusterError(f"cluster send failed: {exc}") from None
-
-
-# ----------------------------------------------------------------------
-# Transport seam
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Transport:
-    """The three callables a cluster peer needs from a transport.
-
-    ``connect(host, port, **kw)`` dials and returns a
-    :class:`FrameConnection`-shaped object; ``serve(handler, host=...,
-    port=...)`` returns a :class:`FrameServer`-shaped object.  A zmq
-    transport registers the same shape under ``"zmq"`` without the rest
-    of the subsystem noticing.
-    """
-
-    name: str
-    connect: Callable[..., FrameConnection]
-    serve: Callable[..., FrameServer]
-
-
-TRANSPORTS: Dict[str, Transport] = {
-    "socket": Transport(name="socket", connect=connect, serve=FrameServer),
-}
-
-
-def resolve_transport(name: str = "socket") -> Transport:
-    """Look up a registered cluster transport by name."""
-    try:
-        return TRANSPORTS[name]
-    except KeyError:
-        valid = ", ".join(sorted(TRANSPORTS))
-        raise ConfigurationError(
-            f"unknown cluster transport {name!r}; valid transports: {valid}"
-        ) from None

@@ -32,7 +32,7 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.cluster import protocol
-from repro.cluster.transport import resolve_transport
+from repro.cluster.transport import connect
 from repro.errors import ClusterError
 from repro.jobs.service import JobService
 
@@ -71,9 +71,6 @@ class Worker:
         Forwarded to the worker's local :class:`JobService` — point
         ``cache_dir`` at a shared mount to share the disk tier across
         hosts.
-    transport:
-        Cluster transport name (see
-        :func:`repro.cluster.transport.resolve_transport`).
     """
 
     def __init__(
@@ -84,7 +81,6 @@ class Worker:
         worker_id: Optional[str] = None,
         cache_dir: Optional[str] = None,
         jobs_transport: str = "auto",
-        transport: str = "socket",
         connect_retries: int = 8,
         connect_backoff_s: float = 0.1,
     ) -> None:
@@ -93,7 +89,6 @@ class Worker:
         self.worker_id = worker_id or default_worker_id()
         self.cache_dir = cache_dir
         self.jobs_transport = jobs_transport
-        self._transport = resolve_transport(transport)
         self._connect_retries = connect_retries
         self._connect_backoff_s = connect_backoff_s
         self._stop_heartbeat = threading.Event()
@@ -105,7 +100,7 @@ class Worker:
 
         Returns the number of cells this worker completed.
         """
-        conn = self._transport.connect(
+        conn = connect(
             self.host,
             self.port,
             retries=self._connect_retries,
@@ -198,9 +193,7 @@ class Worker:
     def _heartbeat_loop(self, interval: float) -> None:
         """Renew leases on a dedicated connection until told to stop."""
         try:
-            conn = self._transport.connect(
-                self.host, self.port, retries=2, backoff_s=0.05
-            )
+            conn = connect(self.host, self.port, retries=2, backoff_s=0.05)
         except ClusterError:
             return
         with conn:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.config import PipelineConfig
 from repro.backend import (
     DEFAULT_BACKEND,
     NumericBackend,
@@ -11,16 +12,16 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.backend.dense import DenseNumpyBackend
-from repro.backend.jit import NumbaJitBackend, numba_available
 from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError
 from repro.links.linkset import LinkSet
+from repro.runner import SweepSpec
 from repro.sinr.kernels import KernelCache
 from repro.sinr.powercontrol import spectral_radius
 
-ALL_BACKENDS = ("dense-numpy", "blocked-sparse", "numba-jit")
+ALL_BACKENDS = numeric_backends.names()
 
 
 def _random_links(n: int, rng: int = 0) -> LinkSet:
@@ -44,8 +45,8 @@ def _line_links(n: int) -> LinkSet:
 # Registry surface
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_three_builtin_backends(self):
-        assert set(ALL_BACKENDS) <= set(numeric_backends.names())
+    def test_builtin_backends(self):
+        assert ALL_BACKENDS == ("dense-numpy", "blocked-sparse")
 
     def test_resolve_default(self):
         backend = resolve_backend(None)
@@ -119,23 +120,29 @@ class TestBlockIdentity:
 
 
 # ----------------------------------------------------------------------
-# numba-jit graceful degradation
+# The removed JIT backend's name is rejected everywhere a backend is named
 # ----------------------------------------------------------------------
-class TestNumbaJit:
-    def test_degrades_without_numba(self):
-        backend = NumbaJitBackend()
-        if numba_available():  # pragma: no cover - numba-full environments
-            pytest.skip("numba present; degradation path not reachable")
-        links = _random_links(9)
-        block = backend.gap_block(links, np.arange(9), np.arange(9))
-        assert not backend.jit_active
-        ref = DenseNumpyBackend().gap_block(links, np.arange(9), np.arange(9))
-        assert block.tobytes() == ref.tobytes()
+REMOVED_BACKEND = "numba-jit"
+VALID_CHOICES = "available: dense-numpy, blocked-sparse"
 
-    def test_registered_even_when_absent(self):
-        # The registry entry must exist regardless of numba, so configs
-        # naming it stay valid on every platform.
-        assert "numba-jit" in numeric_backends.names()
+
+AXES = dict(topologies=("grid",), ns=(9,), modes=("uniform",))
+
+
+class TestRemovedBackendRejected:
+    def test_pipeline_config(self):
+        with pytest.raises(ConfigurationError, match=VALID_CHOICES):
+            PipelineConfig(backend=REMOVED_BACKEND)
+
+    def test_sweep_spec(self):
+        with pytest.raises(ConfigurationError, match=VALID_CHOICES):
+            SweepSpec(**AXES, backend=REMOVED_BACKEND)
+
+    def test_resumed_sweep_spec(self):
+        # A sweep file written while the backend still existed.
+        data = dict(SweepSpec(**AXES).to_dict(), backend=REMOVED_BACKEND)
+        with pytest.raises(ConfigurationError, match=VALID_CHOICES):
+            SweepSpec.from_dict(data)
 
 
 # ----------------------------------------------------------------------

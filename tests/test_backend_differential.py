@@ -14,9 +14,10 @@ import pytest
 
 from repro.api.config import PipelineConfig
 from repro.api.pipeline import Pipeline
+from repro.backend import numeric_backends
 from repro.store.store import StageStore
 
-ALL_BACKENDS = ("dense-numpy", "blocked-sparse", "numba-jit")
+ALL_BACKENDS = numeric_backends.names()
 
 TOPOLOGIES = ("square", "grid", "exponential")
 MODES = ("global", "oblivious", "uniform")

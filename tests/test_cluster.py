@@ -1,27 +1,21 @@
 """Cluster subsystem tests: protocol codecs, frame transport, the
 orchestrator lease state machine, engine-level parity with the inline
-backend, the worker/serve CLI surface, and the HTTP job service."""
+backend, and the worker CLI surface."""
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 import repro
 from repro.cluster import protocol
 from repro.cluster.orchestrator import Orchestrator
-from repro.cluster.transport import (
-    MAX_FRAME_BYTES,
-    FrameServer,
-    connect,
-    resolve_transport,
-)
+from repro.cluster.transport import MAX_FRAME_BYTES, FrameServer, connect
 from repro.cluster.worker import Worker, default_worker_id
 from repro.errors import ClusterError, ConfigurationError, ProtocolError
 from repro.runner import SweepEngine, SweepSpec
@@ -201,11 +195,16 @@ class TestTransport:
             connect("127.0.0.1", port, retries=2, backoff_s=0.01)
         assert time.monotonic() - start < 5.0
 
-    def test_resolve_transport(self):
-        transport = resolve_transport("socket")
-        assert transport.name == "socket"
-        with pytest.raises(ConfigurationError, match="valid transports"):
-            resolve_transport("zmq")
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_busy_port_raises_cluster_error_and_closes_socket(self):
+        with FrameServer(echo_handler) as busy:
+            host, port = busy.address
+            with pytest.raises(ClusterError, match=f"cannot listen on {host}:{port}"):
+                FrameServer(echo_handler, host=host, port=port)
+            # The failed server's listen socket must already be closed;
+            # an unclosed one warns when collected here.
+            gc.collect()
 
 
 # ----------------------------------------------------------------------
@@ -490,151 +489,15 @@ class TestWorker:
 
 
 # ----------------------------------------------------------------------
-# The serve front-end
-# ----------------------------------------------------------------------
-@pytest.fixture
-def serve_app(tmp_path):
-    from repro.cluster.serve import ServeApp
-
-    app = ServeApp(str(tmp_path / "spool"))
-    yield app
-    app.shutdown()
-
-
-def wait_for_status(record, wanted, timeout=90.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if record.status in wanted:
-            return record.status
-        time.sleep(0.1)
-    raise AssertionError(f"job stuck in {record.status!r}")
-
-
-SERVE_SPEC = {
-    "topologies": ["grid"],
-    "ns": [9],
-    "modes": ["uniform"],
-    "alphas": [3.0],
-    "betas": [1.0],
-    "seeds": 2,
-}
-
-
-class TestServeApp:
-    def test_submit_runs_job_to_done(self, serve_app):
-        record = serve_app.submit(dict(SERVE_SPEC))
-        assert record.job_id == "job-0001"
-        assert wait_for_status(record, {"done", "error"}) == "done"
-        assert record.rows_written() == record.total_cells == 2
-        summary = record.to_json_dict()
-        assert summary["status"] == "done"
-        assert summary["rows_written"] == 2
-
-    def test_unknown_job_lists_available(self, serve_app):
-        with pytest.raises(ConfigurationError, match="available jobs"):
-            serve_app.get("job-9999")
-
-    def test_invalid_spec_rejected_before_spawn(self, serve_app):
-        with pytest.raises(ConfigurationError):
-            serve_app.submit({"bogus_axis": [1]})
-
-    def test_cancel_terminates_running_job(self, serve_app):
-        big = dict(SERVE_SPEC, ns=[100, 144, 196], seeds=10)
-        record = serve_app.submit(big)
-        wait_for_status(record, {"running", "done"})
-        serve_app.cancel(record.job_id)
-        assert wait_for_status(record, {"cancelled", "done"}) in (
-            "cancelled",
-            "done",
-        )
-
-
-class TestServeHttp:
-    @pytest.fixture
-    def server_url(self, tmp_path):
-        import asyncio
-
-        from repro.cluster.serve import ServeApp
-
-        app = ServeApp(str(tmp_path / "spool"))
-        port = free_port()
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        async def main():
-            server = await asyncio.start_server(app.handle, "127.0.0.1", port)
-            started.set()
-            async with server:
-                await server.serve_forever()
-
-        def run_loop():
-            try:
-                loop.run_until_complete(main())
-            except RuntimeError:
-                pass  # loop.stop() interrupts serve_forever at teardown
-
-        thread = threading.Thread(target=run_loop, daemon=True)
-        thread.start()
-        assert started.wait(timeout=10)
-        yield f"http://127.0.0.1:{port}"
-        loop.call_soon_threadsafe(loop.stop)
-        app.shutdown()
-
-    def http(self, url, data=None):
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(data).encode() if data is not None else None,
-            method="POST" if data is not None else "GET",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, response.read().decode()
-
-    def test_health_submit_status_stream(self, server_url):
-        status, body = self.http(f"{server_url}/healthz")
-        assert status == 200 and json.loads(body) == {"status": "ok"}
-
-        status, body = self.http(f"{server_url}/jobs", data=SERVE_SPEC)
-        assert status == 201
-        job_id = json.loads(body)["job_id"]
-
-        # The stream endpoint follows the job to completion: two result
-        # rows then the end event.
-        status, body = self.http(f"{server_url}/jobs/{job_id}/stream")
-        lines = [json.loads(line) for line in body.splitlines() if line]
-        assert status == 200
-        assert lines[-1]["event"] == "end"
-        assert lines[-1]["status"] == "done"
-        rows = lines[:-1]
-        assert len(rows) == 2
-        assert all(row["status"] == "ok" for row in rows)
-
-        status, body = self.http(f"{server_url}/jobs/{job_id}")
-        assert json.loads(body)["status"] == "done"
-
-        status, body = self.http(f"{server_url}/jobs")
-        assert [j["job_id"] for j in json.loads(body)["jobs"]] == [job_id]
-
-    def test_unknown_route_and_job_are_404(self, server_url):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            self.http(f"{server_url}/nope")
-        assert err.value.code == 404
-        with pytest.raises(urllib.error.HTTPError) as err:
-            self.http(f"{server_url}/jobs/job-9999")
-        assert err.value.code == 404
-
-
-# ----------------------------------------------------------------------
 # CLI + API surface
 # ----------------------------------------------------------------------
 class TestCliSurface:
-    def test_worker_and_serve_subcommands_exist(self, capsys):
+    def test_worker_subcommand_exists(self, capsys):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
-        out = capsys.readouterr().out
-        assert "worker" in out and "serve" in out
+        assert "worker" in capsys.readouterr().out
 
     def test_sweep_cluster_flags_exist(self, capsys):
         from repro.cli import build_parser
@@ -667,6 +530,20 @@ class TestCliSurface:
         # backoff budget runs out and the CLI maps it to exit 2.
         assert main(["worker", f"127.0.0.1:{free_port()}"]) == 2
         assert "cannot reach" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_sweep_on_busy_port_exits_2(self, capsys):
+        from repro.cli import main
+
+        with FrameServer(echo_handler) as busy:
+            address = "{}:{}".format(*busy.address)
+            argv = ["sweep", "--topology", "grid", "--n", "9", "--cluster", address]
+            assert main(argv) == 2
+            gc.collect()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot listen on {address}: ")
 
 
 class TestApiSurface:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.api.config import PipelineConfig
+from repro.backend import numeric_backends
 from repro.store.keys import deploy_key, links_key, schedule_key, stage_keys, tree_key
 
 from repro.coloring.greedy import greedy_coloring
@@ -278,7 +279,7 @@ class TestStoreKeyProperties:
     @settings(max_examples=50, deadline=None)
     @given(
         pipeline_configs(),
-        st.sampled_from(("dense-numpy", "blocked-sparse", "numba-jit")),
+        st.sampled_from(numeric_backends.names()),
     )
     def test_backend_never_splits_any_stage_key(self, config, backend):
         """Backends are bit-identical by contract, so the backend choice

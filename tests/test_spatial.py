@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import numeric_backends
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -142,7 +143,7 @@ class TestConservativeness:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ["dense-numpy", "blocked-sparse", "numba-jit"])
+    @pytest.mark.parametrize("backend", numeric_backends.names())
     @pytest.mark.parametrize("threshold", THRESHOLDS, ids=lambda t: t.name)
     @pytest.mark.parametrize("topology", ["uniform", "clustered"])
     def test_pruned_equals_unpruned(self, backend, threshold, topology):
