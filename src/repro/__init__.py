@@ -59,9 +59,7 @@ from repro.core import (
     predicted_slots_global,
     predicted_slots_oblivious,
 )
-from repro.cluster import Orchestrator, Worker
 from repro.errors import (
-    ClusterError,
     ConfigurationError,
     ConstructionError,
     DegenerateLinkError,
@@ -69,7 +67,6 @@ from repro.errors import (
     InfeasibleError,
     JobError,
     LinkError,
-    ProtocolError,
     ReproError,
     ScheduleError,
     SimulationError,
@@ -121,7 +118,6 @@ __all__ = [
     "AggregationTree",
     "COUNT",
     "CellResult",
-    "ClusterError",
     "ConfigurationError",
     "ConflictGraph",
     "ConstructionError",
@@ -148,12 +144,10 @@ __all__ = [
     "MstSuboptimalFamily",
     "NumericBackend",
     "ObliviousPower",
-    "Orchestrator",
     "Pipeline",
     "PipelineConfig",
     "PointSet",
     "PowerMode",
-    "ProtocolError",
     "RecursiveLogStarInstance",
     "Registry",
     "ReproError",
@@ -172,7 +166,6 @@ __all__ = [
     "SweepReport",
     "SweepSpec",
     "UniformPower",
-    "Worker",
     "__version__",
     "arbitrary_graph",
     "cluster_points",

@@ -15,7 +15,7 @@ SHM-001               shared-memory segments have coordinator-owned
 ERR-001               raises derive from ReproError; unknown-name errors
                       list valid choices
 REG-001               registered components are documented
-NET-001               raw sockets stay behind cluster/transport.py
+NET-001               repro opens no network sockets
 ====================  ==================================================
 """
 
@@ -476,7 +476,7 @@ def _reg_001(ctx: ModuleContext) -> Iterator[tuple]:
 
 
 # ----------------------------------------------------------------------
-# NET-001 — sockets stay behind the cluster transport
+# NET-001 — repro opens no network sockets
 # ----------------------------------------------------------------------
 #: Socket-module entry points that open raw connections or listeners.
 _RAW_SOCKET_CALLS = {
@@ -490,20 +490,17 @@ _RAW_SOCKET_CALLS = {
 
 @register_lint_rule(
     "NET-001",
-    title="raw sockets stay behind cluster/transport.py",
+    title="repro opens no network sockets",
     description=(
         "Imports of the socket module, raw socket constructors "
         "(socket.socket, create_connection, create_server, socketpair, "
-        "fromfd) and asyncio.open_connection are reserved to "
-        "cluster/transport.py: every other module speaks the framed, "
-        "schema-versioned message protocol through FrameConnection / "
-        "FrameServer, so timeouts, reconnect backoff and the frame-size "
-        "guard cannot be bypassed."
+        "fromfd) and asyncio.open_connection are forbidden everywhere in "
+        "src/repro: the library has no network layer, and its only "
+        "parallelism is the local process pool behind JobService."
     ),
-    contract="PR 9 distributed sweep service (one wire, one framing)",
-    fix_hint="use repro.cluster.transport (FrameConnection/FrameServer) "
-    "instead of raw sockets",
-    exempt=("cluster/transport.py",),
+    contract="local-only execution (sweeps parallelise with --jobs)",
+    fix_hint="repro has no network layer; run sweeps in parallel with "
+    "--jobs instead of opening sockets",
 )
 def _net_001(ctx: ModuleContext) -> Iterator[tuple]:
     """Flag socket imports and raw connection/listener constructors."""
@@ -522,11 +519,6 @@ def _net_001(ctx: ModuleContext) -> Iterator[tuple]:
             if name is None:
                 continue
             if name in _RAW_SOCKET_CALLS:
-                yield node, (
-                    f"raw socket constructor {name} outside the cluster "
-                    "transport"
-                )
+                yield node, f"raw socket constructor {name}"
             elif name == "asyncio.open_connection":
-                yield node, (
-                    "asyncio.open_connection outside the cluster transport"
-                )
+                yield node, "asyncio.open_connection opens a network socket"

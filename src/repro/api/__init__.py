@@ -79,11 +79,6 @@ from repro.backend import (
     resolve_backend,
 )
 
-# Also after backend: the distributed-sweep surface reaches back into
-# repro.jobs, whose service module needs the config/pipeline modules
-# already importable.
-from repro.cluster import Orchestrator, Worker
-
 __all__ = [
     "EpochResult",
     "Finding",
@@ -91,7 +86,6 @@ __all__ = [
     "LintRule",
     "MeasurementContext",
     "NumericBackend",
-    "Orchestrator",
     "Pipeline",
     "PipelineConfig",
     "PowerSchemeSpec",
@@ -104,7 +98,6 @@ __all__ = [
     "SimulationResult",
     "TopologySpec",
     "TreeSpec",
-    "Worker",
     "lint_paths",
     "lint_rules",
     "lint_source",

@@ -104,6 +104,8 @@ class PipelineConfig:
         numeric_backends.get(self.backend)
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigurationError(f"n must be a positive int, got {self.n!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.sink, int) or self.sink < 0:
             raise ConfigurationError(f"sink must be a non-negative int, got {self.sink!r}")
         if self.num_frames < 0:

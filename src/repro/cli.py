@@ -18,9 +18,10 @@ through the :class:`~repro.jobs.JobService`.
 ``cache``      — inspect or clear an on-disk stage cache directory.
 ``lint``       — run reprolint, the AST-based invariant linter
 (:mod:`repro.analysis`), over source paths; exit 2 on error findings.
-``worker``     — join a distributed sweep as a cluster worker: lease
-cell batches from an orchestrator (``repro sweep --cluster``), run them
-through a local job service, stream results back.
+
+Parallelism is local: ``sweep`` and ``batch`` take ``--jobs N`` and run
+their cells on a process pool of that size (``--jobs 1``, the default,
+runs inline).
 
 Every ``choices=`` list is derived from the component registries
 (:mod:`repro.api`), so registering a topology, tree builder, power
@@ -59,8 +60,10 @@ def _effective_seed(args: argparse.Namespace) -> int:
 
     ``--seed`` defaults to ``0``; passing any other value for a
     deterministic topology (``grid``, ``exponential``) is called out
-    instead of silently ignored.
+    instead of silently ignored.  A negative seed is rejected.
     """
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     if args.seed != 0 and not topology_uses_seed(args.topology):
         print(
             f"warning: --seed is ignored for the deterministic "
@@ -68,6 +71,15 @@ def _effective_seed(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return args.seed
+
+
+def _check_out_dir(path: Optional[str], flag: str) -> None:
+    """Fail before any work runs when ``path``'s directory is missing."""
+    if path is None:
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigurationError(f"{flag} {path}: directory {parent} does not exist")
 
 
 def _int_list(text: str) -> List[int]:
@@ -277,27 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk stage cache: deployments/trees/schedules persist "
         "here and are reused across runs",
     )
-    p_sweep.add_argument(
-        "--cluster",
-        default=None,
-        metavar="HOST:PORT",
-        help="run on the distributed backend: bind the sweep orchestrator "
-        "at this address and lease cells to 'repro worker' processes "
-        "(--jobs/--transport then apply inside each worker, not here)",
-    )
-    p_sweep.add_argument(
-        "--cluster-batch",
-        type=int,
-        default=4,
-        help="cells per worker lease on the cluster backend",
-    )
-    p_sweep.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        help="seconds before an un-heartbeated cluster lease is "
-        "reassigned to another worker",
-    )
 
     p_scenario = sub.add_parser(
         "scenario",
@@ -415,42 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered rules and exit",
     )
 
-    p_worker = sub.add_parser(
-        "worker",
-        help="join a distributed sweep as a cluster worker",
-        description="Connect to a sweep orchestrator (started by 'repro "
-        "sweep --cluster HOST:PORT'), lease cell batches, run them through "
-        "a local job service, and stream the results back.  Exits when the "
-        "orchestrator reports the sweep complete.",
-    )
-    p_worker.add_argument(
-        "address", metavar="HOST:PORT", help="the orchestrator's address"
-    )
-    p_worker.add_argument(
-        "--id",
-        dest="worker_id",
-        default=None,
-        help="worker identity used in leases/heartbeats "
-        "(default: <hostname>-<pid>)",
-    )
-    p_worker.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk stage cache; point workers at a shared mount to "
-        "share the disk tier across hosts",
-    )
-    p_worker.add_argument(
-        "--transport",
-        choices=("auto", "shm", "disk"),
-        default="auto",
-        help="stage-artifact transport of the worker's local job service",
-    )
     return parser
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.runner import SweepEngine, SweepSpec
 
+    _check_out_dir(args.out, "--out")
     spec = SweepSpec(
         topologies=tuple(args.topology),
         ns=tuple(args.n),
@@ -473,16 +435,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         resume=not args.no_resume,
         cache_dir=args.cache_dir,
         transport=args.transport,
-        cluster=args.cluster,
-        cluster_batch=args.cluster_batch,
-        lease_ttl_s=args.lease_ttl,
     )
-    if args.cluster:
-        print(
-            f"cluster orchestrator listening on {args.cluster} "
-            f"(batch={args.cluster_batch}, lease-ttl={args.lease_ttl:g}s); "
-            f"start workers with: repro worker {args.cluster}"
-        )
     report = engine.run()
     keys = ("topology", "n", "mode")
     if len(spec.trees) > 1:
@@ -495,15 +448,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     print(report.table(keys))
     if report.store_stats:
         print(_store_stats_line(report.store_stats))
-    if report.cluster_stats:
-        cs = report.cluster_stats
-        print(
-            f"cluster: {len(cs['workers'])} worker"
-            f"{'s' if len(cs['workers']) != 1 else ''}, "
-            f"{cs['leases_granted']} leases, "
-            f"{cs['reassignments']} reassigned, "
-            f"{cs['duplicate_results']} duplicate results"
-        )
     if args.out:
         print(f"wrote {len(report.results)} records to {args.out}")
     return 0
@@ -532,6 +476,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios.runner import ScenarioRunner
     from repro.store.store import StageStore
 
+    _check_out_dir(args.json_out, "--json")
     params = {}
     if args.params:
         try:
@@ -605,6 +550,7 @@ def _load_batch_configs(path: Path) -> List[PipelineConfig]:
 def _run_batch(args: argparse.Namespace) -> int:
     from repro.jobs import JobService
 
+    _check_out_dir(args.out, "--out")
     configs = _load_batch_configs(Path(args.configs))
     rows = []
     failed = 0
@@ -687,28 +633,9 @@ def _run_lint(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _run_worker(args: argparse.Namespace) -> int:
-    from repro.cluster import Worker, parse_address
-
-    host, port = parse_address(args.address)
-    worker = Worker(
-        host,
-        port,
-        worker_id=args.worker_id,
-        cache_dir=args.cache_dir,
-        jobs_transport=args.transport,
-    )
-    print(f"worker {worker.worker_id} joining sweep at {host}:{port}")
-    completed = worker.run()
-    print(f"worker {worker.worker_id} done: {completed} cells completed")
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint":
         return _run_lint(args)
-    if args.command == "worker":
-        return _run_worker(args)
     if args.command == "sweep":
         return _run_sweep(args)
     if args.command == "scenario":

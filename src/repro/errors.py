@@ -67,15 +67,3 @@ class ConfigurationError(ReproError):
 class JobError(ReproError):
     """A submitted job failed or was cancelled before producing a result
     (see :class:`repro.jobs.JobService`)."""
-
-
-class ClusterError(ReproError):
-    """A distributed-sweep failure: a peer is unreachable after the
-    reconnect budget, a message timed out, or the orchestrator gave up
-    on a run (see :mod:`repro.cluster`)."""
-
-
-class ProtocolError(ClusterError):
-    """A malformed or incompatible cluster wire message: bad framing,
-    an unknown message type, or a schema-version mismatch
-    (see :mod:`repro.cluster.protocol`)."""

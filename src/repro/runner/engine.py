@@ -37,7 +37,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.config import PipelineConfig
 from repro.api.measurements import MeasurementContext, measurements
@@ -160,10 +160,6 @@ class SweepReport:
     #: processes.  ``{"deploy": {"builds": 2, ...}, ...}``; empty when
     #: nothing executed.
     store_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Orchestrator counters when the sweep ran on the cluster backend
-    #: (workers seen, leases granted, reassignments, duplicates, merged
-    #: worker store stats); ``None`` for local runs.
-    cluster_stats: Optional[Dict[str, Any]] = None
 
     @property
     def total(self) -> int:
@@ -182,6 +178,11 @@ class SweepReport:
 
 class SweepEngine:
     """Runs every cell of a spec through the job service, with persistence.
+
+    There is one execution path: :class:`~repro.jobs.JobService` runs the
+    cells inline when ``jobs == 1`` and on a local process pool
+    otherwise.  Both produce byte-identical rows (modulo
+    ``wall_time_s``), so ``jobs`` only changes how long a sweep takes.
 
     Parameters
     ----------
@@ -209,16 +210,6 @@ class SweepEngine:
         (shared memory when available, else the disk tier), ``"shm"``
         (require shared memory) or ``"disk"``.  See
         :class:`~repro.jobs.service.JobService`.
-    cluster:
-        ``"host:port"`` switches execution to the distributed backend:
-        the engine binds a :class:`~repro.cluster.Orchestrator` at that
-        address and ``repro worker`` processes run the cells.  Resume,
-        canonical row order and error isolation are unchanged;
-        ``jobs``/``cell_runner``/``transport`` are ignored (each worker
-        owns its local equivalents).
-    cluster_batch / lease_ttl_s:
-        Cells per lease and the heartbeat-renewed lease deadline for
-        the cluster backend.
     """
 
     def __init__(
@@ -231,9 +222,6 @@ class SweepEngine:
         cache_dir: Optional[Union[str, Path]] = None,
         cell_runner: Callable[[CellSpec], CellResult] = run_cell,
         transport: str = "auto",
-        cluster: Optional[str] = None,
-        cluster_batch: int = 4,
-        lease_ttl_s: float = 30.0,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -244,15 +232,6 @@ class SweepEngine:
         self.cache_dir = cache_dir
         self.cell_runner = cell_runner
         self.transport = transport
-        self.cluster = cluster
-        self.cluster_batch = cluster_batch
-        self.lease_ttl_s = lease_ttl_s
-        if cluster is not None:
-            # Validate the address eagerly so a typo fails at
-            # construction, not after the sweep file has been truncated.
-            from repro.cluster.protocol import parse_address
-
-            parse_address(cluster)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -346,8 +325,6 @@ class SweepEngine:
         fresh: Dict[str, CellResult] = {}
         if not pending:
             return fresh
-        if self.cluster is not None:
-            return self._execute_cluster(pending, report)
         service = JobService(
             workers=self.jobs,
             cache_dir=self.cache_dir,
@@ -381,52 +358,4 @@ class SweepEngine:
         finally:
             service.close()
         report.store_stats = service.store_stats()
-        return fresh
-
-    # ------------------------------------------------------------------
-    def _execute_cluster(
-        self, pending: List[CellSpec], report: SweepReport
-    ) -> Dict[str, CellResult]:
-        """Run the pending cells on the distributed backend.
-
-        The orchestrator accepts results in whatever order workers
-        finish them; this method keeps the same incremental-persistence
-        contract as the local path by holding completed rows in a
-        reorder buffer and appending them to the output file only once
-        every earlier pending cell (canonical order) has landed — the
-        file is crash-resumable mid-sweep, exactly like an inline run.
-        """
-        from repro.cluster.orchestrator import Orchestrator
-        from repro.cluster.protocol import parse_address
-
-        host, port = parse_address(self.cluster)
-        fresh: Dict[str, CellResult] = {}
-        order = [c.cell_id for c in pending]
-        flush_pos = 0
-
-        def on_result(cell_id: str, result: CellResult) -> None:
-            # Runs under the orchestrator lock, so appends serialise.
-            nonlocal flush_pos
-            fresh[cell_id] = result
-            if self.out_path is None:
-                return
-            while flush_pos < len(order) and order[flush_pos] in fresh:
-                append_result(self.out_path, fresh[order[flush_pos]])
-                flush_pos += 1
-
-        orchestrator = Orchestrator(
-            pending,
-            on_result=on_result,
-            lease_ttl_s=self.lease_ttl_s,
-            batch_size=self.cluster_batch,
-            host=host,
-            port=port,
-        )
-        with orchestrator:
-            orchestrator.wait()
-        report.store_stats = {
-            stage: dict(c)
-            for stage, c in orchestrator.stats.store_stats.items()
-        }
-        report.cluster_stats = orchestrator.stats.to_dict()
         return fresh

@@ -212,6 +212,8 @@ class SweepSpec:
                 raise ConfigurationError(f"beta must be positive, got {beta}")
         if self.seeds < 1:
             raise ConfigurationError(f"seeds must be >= 1, got {self.seeds}")
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.num_frames < 0:
             raise ConfigurationError(f"num_frames must be >= 0, got {self.num_frames}")
 

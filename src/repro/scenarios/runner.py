@@ -246,6 +246,10 @@ class ScenarioRunner:
         self.scenario_seed = (
             config.seed if scenario_seed is None else int(scenario_seed)
         )
+        if self.scenario_seed < 0:
+            raise ConfigurationError(
+                f"scenario_seed must be >= 0, got {self.scenario_seed}"
+            )
         self.store: Optional[StageStore] = (
             get_default_store() if store is _DEFAULT_STORE else store
         )

@@ -175,6 +175,15 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError):
             PipelineConfig(gamma=-1.0)
 
+    def test_negative_seed_rejected(self):
+        # numpy rejects negative seeds only when the deployment is
+        # drawn; the config must fail at construction, and so must a
+        # batch/resume file read through from_dict.
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            PipelineConfig(seed=-1)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            PipelineConfig.from_dict({"seed": -3})
+
     def test_constant_ranges_mirror_components(self):
         # The builder requires gamma > 0 and ObliviousPower tau in
         # [0, 1]; the config must fail eagerly, not mid-pipeline.

@@ -150,6 +150,49 @@ class TestErrorHandling:
         assert main(["sweep", "--n", "1"]) == 2
         assert "n must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--n", "12", "--seed", "-1"],
+            ["compare", "--n", "12", "--seed", "-1"],
+            ["scenario", "churn", "--n", "12", "--epochs", "2", "--seed", "-1"],
+            ["scenario", "churn", "--n", "12", "--scenario-seed", "-1"],
+            ["sweep", "--n", "12", "--base-seed", "-1"],
+        ],
+        ids=["schedule", "compare", "scenario", "scenario-seed", "sweep"],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seed" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "12", "--out", "{missing}/x.jsonl"],
+            ["batch", "{batch}", "--out", "{missing}/y.jsonl"],
+            ["scenario", "churn", "--n", "12", "--epochs", "2",
+             "--json", "{missing}/z.json"],
+        ],
+        ids=["sweep", "batch", "scenario"],
+    )
+    def test_out_path_in_missing_dir_exits_2_before_work(
+        self, capsys, tmp_path, argv
+    ):
+        batch = tmp_path / "b.json"
+        batch.write_text('[{"topology": "square", "n": 12}]')
+        missing = tmp_path / "nodir"
+        argv = [a.format(missing=missing, batch=batch) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "does not exist" in captured.err
+        assert captured.err.count("\n") == 1
+        # Rejected up front: no cell, job or epoch ran.
+        assert captured.out == ""
+        assert not missing.exists()
+
 
 class TestSweep:
     def test_sweep_writes_one_row_per_cell(self, capsys, tmp_path):

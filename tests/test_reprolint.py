@@ -404,9 +404,13 @@ class TestNet001:
         )
         assert lint_source(src, path="m.py") == []
 
-    def test_cluster_transport_is_exempt(self):
+    def test_no_module_is_exempt(self):
+        # The rule once exempted the deleted distributed-sweep transport;
+        # a socket at that path is now flagged like anywhere else.
         src = "import socket\ns = socket.socket()\n"
-        assert lint_source(src, path="src/repro/cluster/transport.py") == []
+        assert rule_ids(
+            lint_source(src, path="src/repro/cluster/transport.py")
+        ) == ["NET-001", "NET-001"]
 
 
 # ----------------------------------------------------------------------

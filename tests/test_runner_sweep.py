@@ -88,6 +88,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="seeds"):
             tiny_spec(seeds=0)
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="base_seed must be >= 0"):
+            tiny_spec(base_seed=-1)
+        spec = tiny_spec().to_dict()
+        spec["base_seed"] = -1
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            SweepSpec.from_dict(spec)
+
     def test_bad_measurement_rejected(self):
         with pytest.raises(ConfigurationError, match="measurement"):
             tiny_spec(measure=("entropy",))
