@@ -184,6 +184,10 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError, match="seed must be >= 0"):
             PipelineConfig.from_dict({"seed": -3})
 
+    def test_zero_seed_accepted(self):
+        assert PipelineConfig(seed=0).seed == 0
+        assert PipelineConfig.from_dict({"seed": 0}) == PipelineConfig()
+
     def test_constant_ranges_mirror_components(self):
         # The builder requires gamma > 0 and ObliviousPower tau in
         # [0, 1]; the config must fail eagerly, not mid-pipeline.
@@ -301,6 +305,45 @@ class TestPublicSurface:
 
         missing = [name for name in api.__all__ if not hasattr(api, name)]
         assert missing == []
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro", "Orchestrator"),
+            ("repro", "Worker"),
+            ("repro.api", "Orchestrator"),
+            ("repro.api", "Worker"),
+            ("repro.errors", "ClusterError"),
+            ("repro.errors", "ProtocolError"),
+        ],
+    )
+    def test_distributed_sweep_exports_removed(self, module, name):
+        import importlib
+
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+
+    def test_cluster_package_removed(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.cluster")
+
+    @pytest.mark.parametrize("keyword", ["cluster", "cluster_batch", "lease_ttl_s"])
+    def test_sweep_engine_has_one_parallel_path(self, keyword):
+        from repro.runner import SweepEngine, SweepSpec
+
+        spec = SweepSpec(topologies=("square",), ns=(8,), modes=("global",))
+        with pytest.raises(TypeError, match=keyword):
+            SweepEngine(spec, **{keyword: None})
+
+    def test_sweep_report_has_no_cluster_stats(self):
+        from dataclasses import fields
+
+        from repro.runner import SweepReport
+
+        assert "cluster_stats" not in {f.name for f in fields(SweepReport)}
 
     def test_pre_redesign_imports_still_work(self):
         # The pre-registry public surface, verbatim.

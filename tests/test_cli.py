@@ -28,6 +28,35 @@ class TestParser:
             build_parser().parse_args(["schedule", "--mode", "psychic"])
 
 
+class TestRemovedClusterSurface:
+    """The distributed sweep backend is gone; its entry points must fail
+    at the parser (exit 2), not be silently accepted."""
+
+    def test_help_lists_no_worker_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "sweep" in out and "batch" in out
+        assert "worker" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "127.0.0.1:7000"],
+            ["sweep", "--n", "8", "--cluster", "127.0.0.1:7000"],
+            ["sweep", "--n", "8", "--cluster-batch", "2"],
+            ["sweep", "--n", "8", "--lease-ttl", "5"],
+        ],
+        ids=["worker", "cluster", "cluster-batch", "lease-ttl"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestMain:
     def test_schedule_command(self, capsys):
         assert main(["schedule", "--n", "30", "--seed", "1"]) == 0
@@ -193,6 +222,38 @@ class TestErrorHandling:
         assert captured.out == ""
         assert not missing.exists()
 
+    def test_out_path_without_directory_is_the_cwd(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--n", "8", "--out", "x.jsonl"]) == 0
+        assert len((tmp_path / "x.jsonl").read_text().splitlines()) == 1
+
+    def test_out_path_under_a_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["sweep", "--n", "8", "--out", str(blocker / "x.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out") and captured.out == ""
+
+    def test_batch_negative_seed_exits_2_before_any_job(self, capsys, tmp_path):
+        src = tmp_path / "configs.json"
+        src.write_text(json.dumps(
+            [{"topology": "square", "n": 10}, {"topology": "square", "n": 10, "seed": -1}]
+        ))
+        assert main(["batch", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seed must be >= 0" in captured.err
+        assert captured.out == ""  # the valid first config did not run either
+
+    def test_bad_float_list_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "8", "--alpha", "3,banana"])
+        assert excinfo.value.code == 2
+        assert "comma-separated floats" in capsys.readouterr().err
+
+    def test_scenario_params_must_be_an_object(self, capsys):
+        assert main(["scenario", "churn", "--n", "12", "--params", "[1, 2]"]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_writes_one_row_per_cell(self, capsys, tmp_path):
@@ -235,6 +296,26 @@ class TestSweep:
         ]
         assert main(argv) == 0
         assert len(out.read_text().splitlines()) == 4
+
+    def test_pool_rows_match_inline_rows(self, capsys, tmp_path):
+        # The command-level form of the CI parity step: --jobs 2 writes
+        # the same rows as the inline engine once timing is zeroed.
+        grid = [
+            "sweep", "--topology", "square,exponential", "--n", "8,12",
+            "--mode", "global,uniform", "--frames", "2",
+        ]
+        inline, pool = tmp_path / "inline.jsonl", tmp_path / "pool.jsonl"
+        assert main(grid + ["--out", str(inline)]) == 0
+        assert main(grid + ["--jobs", "2", "--out", str(pool)]) == 0
+
+        def canonical(path):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in rows:
+                row["wall_time_s"] = 0.0
+            return rows
+
+        assert len(canonical(inline)) == 8
+        assert canonical(inline) == canonical(pool)
 
     def test_bad_int_list_rejected(self):
         with pytest.raises(SystemExit):
@@ -336,6 +417,18 @@ class TestBatch:
         self.write_configs(src, [{"flavor": "mint"}])
         assert main(["batch", str(src)]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_batch_empty_file_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "configs.json"
+        src.write_text("  \n")
+        assert main(["batch", str(src)]) == 2
+        assert "empty" in capsys.readouterr().err
+
+    def test_batch_non_object_entries_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "configs.json"
+        src.write_text("[1, 2]")
+        assert main(["batch", str(src)]) == 2
+        assert "list of config objects" in capsys.readouterr().err
 
     def test_batch_parallel_jobs(self, capsys, tmp_path):
         src = tmp_path / "configs.json"

@@ -122,6 +122,42 @@ class TestInlineService:
         with pytest.raises(ConfigurationError, match="closed"):
             service.submit(cfg())
 
+    def test_close_is_idempotent(self):
+        service = JobService(store=StageStore())
+        service.close()
+        service.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.submit_cells([cell()])
+
+    def test_repr_names_the_backend(self):
+        with JobService(store=StageStore()) as inline:
+            assert "inline" in repr(inline)
+        with JobService(workers=2, transport="disk") as pool:
+            assert "pool(2)" in repr(pool) and "'disk'" in repr(pool)
+
+    def test_bad_transport_rejected(self):
+        with pytest.raises(ConfigurationError, match="transport"):
+            JobService(transport="tcp")
+
+    def test_crashing_cell_runner_fails_the_handle(self):
+        # run_cell never raises, but a runner that does must surface as
+        # a JobError on its own handle and leave the others untouched.
+        def runner(c):
+            if c.seed == 1:
+                raise RuntimeError("runner crashed")
+            return CellResult(
+                cell_id=c.cell_id, topology=c.topology, n=c.n, mode=c.mode,
+                alpha=c.alpha, beta=c.beta, seed=c.seed,
+            )
+
+        with JobService(cell_runner=runner, store=StageStore()) as service:
+            ok, bad = service.submit_cells([cell(seed=0), cell(seed=1)])
+            with pytest.raises(JobError, match="runner crashed"):
+                bad.result()
+            assert bad.status() is JobStatus.FAILED
+            assert bad.error() == "RuntimeError: runner crashed"
+            assert ok.result().seed == 0 and ok.status() is JobStatus.DONE
+
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="workers"):
             JobService(workers=0)
@@ -172,6 +208,51 @@ class TestHandleFutureSync:
         assert "boom" in handle.error()
 
 
+    def test_cancel_queued_future(self):
+        from concurrent.futures import Future
+
+        handle = JobHandle(0, "queued", future=Future())
+        assert handle.cancel()
+        assert handle.status() is JobStatus.CANCELLED and handle.done()
+        with pytest.raises(JobError, match="cancelled"):
+            handle.result()
+
+    def test_running_future_cannot_be_cancelled(self):
+        from concurrent.futures import Future
+
+        fut = Future()
+        handle = JobHandle(0, "busy", future=fut)
+        assert fut.set_running_or_notify_cancel()
+        assert not handle.cancel()
+        assert handle.status() is JobStatus.RUNNING
+        fut.set_result(("value", {}))
+        assert handle.result() == "value"
+
+    def test_future_cancelled_behind_the_handle(self):
+        # A pool shut down with cancel_futures=True cancels queued
+        # futures directly; the handle must report it, not hang.
+        from concurrent.futures import Future
+
+        fut = Future()
+        handle = JobHandle(0, "dropped", future=fut)
+        assert fut.cancel()
+        assert handle.status() is JobStatus.CANCELLED
+        with pytest.raises(JobError, match="cancelled"):
+            handle.result()
+
+    def test_stats_reported_once_per_job(self):
+        from concurrent.futures import Future
+
+        seen = []
+        fut = Future()
+        handle = JobHandle(0, "counted", future=fut, on_stats=seen.append)
+        fut.set_result(("value", {"deploy": {"builds": 1}}))
+        assert handle.status() is JobStatus.DONE  # collected by the poll
+        assert handle.result() == "value"
+        assert handle.result() == "value"
+        assert seen == [{"deploy": {"builds": 1}}]
+
+
 class TestPoolService:
     def test_pool_matches_inline(self, tmp_path):
         grid = [cfg(n=n, power=mode) for n in (8, 12) for mode in ("global", "uniform")]
@@ -198,3 +279,24 @@ class TestPoolService:
             with pytest.raises(JobError, match="failed"):
                 handle.result()
             assert handle.status() is JobStatus.FAILED
+
+    def test_pool_cell_jobs_isolate_errors_in_the_record(self):
+        cells = [cell(), cell(topology="exponential", n=1100), cell(seed=1)]
+        with JobService(workers=2) as pool:
+            results = [h.result() for h in pool.submit_cells(cells)]
+        assert [r.ok for r in results] == [True, False, True]
+        assert "ConfigurationError" in results[1].error
+
+    def test_pool_workers_persist_stages_to_cache_dir(self, tmp_path):
+        cache = tmp_path / "cache"
+        with JobService(workers=2, cache_dir=cache) as pool:
+            pool.submit(cfg()).result()
+        assert (cache / "deploy").is_dir() and any((cache / "deploy").iterdir())
+
+    def test_pool_close_is_idempotent_and_final(self):
+        pool = JobService(workers=2)
+        assert pool.submit(cfg(n=8)).result().num_slots >= 1
+        pool.close()
+        pool.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            pool.submit(cfg(n=8))

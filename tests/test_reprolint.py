@@ -386,6 +386,28 @@ class TestNet001:
             "NET-001",
         ]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "socket.socket()",
+            "socket.create_connection(('h', 1))",
+            "socket.create_server(('h', 1))",
+            "socket.socketpair()",
+            "socket.fromfd(3, 2, 1)",
+        ],
+    )
+    def test_flags_every_raw_constructor(self, call):
+        src = f"import socket  # reprolint: disable=NET-001\ns = {call}\n"
+        findings = lint_source(src, path="src/repro/jobs/service.py")
+        assert rule_ids(findings) == ["NET-001"]
+        assert findings[0].message == f"raw socket constructor {call.split('(')[0]}"
+
+    def test_rule_has_no_exemption_and_points_at_jobs(self):
+        rule = lint_rules.get("NET-001")
+        assert rule.title == "repro opens no network sockets"
+        assert rule.exempt == () and rule.only == ()
+        assert "--jobs" in rule.fix_hint
+
     def test_flags_asyncio_open_connection(self):
         src = (
             "import asyncio\n"

@@ -96,6 +96,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="base_seed"):
             SweepSpec.from_dict(spec)
 
+    def test_zero_base_seed_is_the_default_and_accepted(self):
+        assert tiny_spec().base_seed == 0
+        assert {c.seed for c in tiny_spec(base_seed=0).cells()} == {0, 1}
+
+    def test_bad_beta_rejected(self):
+        with pytest.raises(ConfigurationError, match="beta must be positive"):
+            tiny_spec(betas=(0.0,))
+
+    def test_negative_frames_rejected(self):
+        with pytest.raises(ConfigurationError, match="num_frames"):
+            tiny_spec(num_frames=-1)
+
+    def test_from_dict_rejects_unknown_fields(self):
+        # A resume file written by a build with removed options (e.g.
+        # the old cluster keywords) must fail loudly, not be ignored.
+        data = tiny_spec().to_dict()
+        data["cluster"] = "127.0.0.1:7000"
+        with pytest.raises(ConfigurationError, match="unknown SweepSpec fields"):
+            SweepSpec.from_dict(data)
+
     def test_bad_measurement_rejected(self):
         with pytest.raises(ConfigurationError, match="measurement"):
             tiny_spec(measure=("entropy",))
@@ -366,6 +386,28 @@ class TestEngine:
         assert len(calls) == spec.num_cells
         assert report.failed == 2
 
+    def test_crashing_cell_runner_becomes_an_error_row(self, tmp_path):
+        # A runner that raises (rather than returning an error record)
+        # is isolated to its own row; the rest of the sweep completes.
+        spec = tiny_spec(seeds=1)
+        out = tmp_path / "sweep.jsonl"
+
+        def crashing(cell):
+            if cell.topology == "exponential":
+                raise RuntimeError("runner crashed")
+            return run_cell(cell)
+
+        report = SweepEngine(spec, out_path=out, cell_runner=crashing).run()
+        assert report.executed == spec.num_cells and report.failed == 2
+        rows = read_results(out)
+        assert [r.cell_id for r in rows] == [c.cell_id for c in spec.cells()]
+        for row in rows:
+            if row.topology == "exponential":
+                assert row.status == "error" and "runner crashed" in row.error
+                assert row.slots is None
+            else:
+                assert row.ok
+
     def test_custom_cell_runner_requires_single_job(self):
         with pytest.raises(ConfigurationError, match="jobs=1"):
             SweepEngine(tiny_spec(), jobs=2, cell_runner=lambda c: None).run()
@@ -373,6 +415,82 @@ class TestEngine:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigurationError, match="jobs"):
             SweepEngine(tiny_spec(), jobs=0)
+
+
+# ----------------------------------------------------------------------
+# The process pool (jobs > 1): the engine's one parallel path
+# ----------------------------------------------------------------------
+class TestPoolEngine:
+    @pytest.mark.parametrize("mode", ["global", "oblivious", "uniform", "linear"])
+    def test_pool_rows_match_inline(self, tmp_path, mode):
+        spec = tiny_spec(modes=(mode,), num_frames=2)
+        a, b = tmp_path / "inline.jsonl", tmp_path / "pool.jsonl"
+        SweepEngine(spec, jobs=1, out_path=a).run()
+        report = SweepEngine(spec, jobs=2, out_path=b).run()
+        assert report.executed == spec.num_cells and report.failed == 0
+        assert stripped(a) == stripped(b)
+
+    def test_pool_writes_canonical_order(self, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        spec = tiny_spec(modes=("global", "uniform"))
+        SweepEngine(spec, jobs=2, out_path=out).run()
+        assert [r.cell_id for r in read_results(out)] == [
+            c.cell_id for c in spec.cells()
+        ]
+
+    def test_pool_failed_cell_is_an_isolated_row(self, tmp_path):
+        spec = SweepSpec(
+            topologies=("exponential",), ns=(8, 1100, 12), modes=("global",)
+        )
+        out = tmp_path / "sweep.jsonl"
+        report = SweepEngine(spec, jobs=2, out_path=out).run()
+        assert report.executed == 3 and report.failed == 1
+        by_n = {r.n: r for r in read_results(out)}
+        assert by_n[8].ok and by_n[12].ok
+        assert by_n[1100].status == "error"
+        assert "ConfigurationError" in by_n[1100].error
+
+    def test_pool_resumes_an_inline_file(self, tmp_path):
+        # Resume is backend-agnostic: a crash-truncated inline file is
+        # completed by the pool into the same rows a full run writes.
+        spec = tiny_spec()
+        full, out = tmp_path / "full.jsonl", tmp_path / "sweep.jsonl"
+        SweepEngine(spec, out_path=full).run()
+        SweepEngine(spec, out_path=out).run()
+        write_results(out, read_results(out)[:3])
+        report = SweepEngine(spec, jobs=2, out_path=out).run()
+        assert report.skipped == 3 and report.executed == spec.num_cells - 3
+        assert stripped(out) == stripped(full)
+
+    def test_pool_resume_skips_completed_cells(self, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        spec = tiny_spec()
+        SweepEngine(spec, jobs=2, out_path=out).run()
+        before = stripped(out)
+        report = SweepEngine(spec, jobs=2, out_path=out).run()
+        assert report.executed == 0 and report.skipped == spec.num_cells
+        assert report.store_stats == {}  # no pool was started
+        assert stripped(out) == before
+
+    def test_pool_resume_retries_failed_cells(self, tmp_path):
+        spec = SweepSpec(topologies=("exponential",), ns=(8, 1100), modes=("global",))
+        out = tmp_path / "sweep.jsonl"
+        SweepEngine(spec, jobs=2, out_path=out).run()
+        report = SweepEngine(spec, jobs=2, out_path=out).run()
+        assert report.skipped == 1 and report.executed == 1 and report.failed == 1
+        assert len(read_results(out)) == 2  # retried row replaced, not duplicated
+
+    def test_pool_store_stats_sum_over_workers(self):
+        # Every cell is a distinct deployment, so each stage is built
+        # once per cell whichever worker runs it: the per-worker deltas
+        # must add up to exactly the inline counters.
+        spec = tiny_spec(seeds=1)
+        reset_default_store()
+        inline = SweepEngine(spec, jobs=1).run().store_stats
+        reset_default_store()
+        pool = SweepEngine(spec, jobs=2).run().store_stats
+        assert pool == inline
+        assert pool["schedule"]["builds"] == spec.num_cells
 
 
 # ----------------------------------------------------------------------
@@ -505,3 +623,28 @@ class TestResults:
             alpha=3.0, beta=1.0, seed=0, status="error", error="boom",
         )
         assert "1 failed cell" in summary_table([failed])
+
+    def test_read_results_skips_blank_lines(self, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        SweepEngine(tiny_spec(seeds=1), out_path=out).run()
+        lines = out.read_text().splitlines()
+        out.write_text("\n\n".join(lines) + "\n\n")
+        assert [r.cell_id for r in read_results(out)] == [
+            c.cell_id for c in tiny_spec(seeds=1).cells()
+        ]
+
+    def test_missing_file_has_no_completed_cells(self, tmp_path):
+        assert completed_cell_ids(tmp_path / "absent.jsonl") == set()
+
+    def test_slots_vs_prediction_undefined_without_a_schedule(self):
+        failed = CellResult(
+            cell_id="x", topology="square", n=8, mode="global",
+            alpha=3.0, beta=1.0, seed=0, status="error", error="boom",
+        )
+        assert failed.slots_vs_prediction is None
+        ok = run_cell(
+            CellSpec(topology="square", n=10, mode="global", alpha=3.0, beta=1.0, seed=0)
+        )
+        assert ok.slots_vs_prediction == pytest.approx(
+            ok.slots / ok.predicted_slots
+        )

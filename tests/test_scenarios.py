@@ -51,6 +51,11 @@ class TestScenarioRegistry:
         with pytest.raises(ConfigurationError, match="epochs"):
             ScenarioRunner(CONFIG, "static", epochs=0)
 
+    def test_negative_scenario_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="scenario_seed must be >= 0"):
+            ScenarioRunner(CONFIG, "churn", scenario_seed=-1)
+        assert ScenarioRunner(CONFIG, "churn", scenario_seed=0).scenario_seed == 0
+
     def test_sweep_spec_validates_scenario_axis(self):
         with pytest.raises(ConfigurationError, match="scenario"):
             SweepSpec(
