@@ -178,9 +178,15 @@ class NumericBackend:
     def spectral_radius(self, matrix: np.ndarray) -> float:
         """``max |eigenvalue|`` of a square (slot-sized) matrix.
 
-        Slot matrices are small even in 100k-link networks, so every
-        backend shares the dense ``eigvals`` reference — a sparse
-        iterative solver would break the bit-identity contract.
+        The GLOBAL feasibility oracle
+        (:mod:`repro.sinr.powercontrol`) decides almost every probe
+        with Collatz–Wielandt bounds and calls this only as its
+        fallback inside the ambiguity band around ``1 - margin``.
+        Every backend shares the dense ``eigvals`` reference, so the
+        fallback never depends on the backend.  At large length
+        diversity ``eigvals`` can be far off, which is why the oracle
+        accepts a fallback verdict only together with a checked
+        Neumann witness.
         """
         a = np.asarray(matrix, dtype=float)
         if a.shape[0] == 0:

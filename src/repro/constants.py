@@ -38,6 +38,15 @@ DEFAULT_DELTA: float = 0.25
 #: (e.g. spectral radius strictly below one).
 FEASIBILITY_MARGIN: float = 1e-9
 
+#: Relative half-width of the ambiguity band around ``1 - margin`` in
+#: which the GLOBAL-power Collatz–Wielandt oracle
+#: (:mod:`repro.sinr.powercontrol`) defers to an eigen-solve.
+FEASIBILITY_BAND: float = 1e-9
+
+#: Power-iteration steps the Collatz–Wielandt oracle takes before it
+#: defers to an eigen-solve.
+FEASIBILITY_MAX_STEPS: int = 300
+
 #: Largest magnitude we allow for generated coordinates before the
 #: doubly-exponential constructions switch to log-space verification.
 MAX_SAFE_COORDINATE: float = 1e300

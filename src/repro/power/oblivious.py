@@ -54,7 +54,20 @@ class ObliviousPower(PowerAssignment):
         return min(self.tau, 1.0 - self.tau)
 
     def powers(self, links: LinkSet) -> np.ndarray:
-        return self.scale * links.lengths ** (self.tau * self.alpha)
+        """``C * l^(tau * alpha)`` for every link.
+
+        Raises :class:`ConfigurationError` (without a numpy overflow
+        warning) when a power leaves float64's finite range, as linear
+        power does on long exponential chains.
+        """
+        with np.errstate(over="ignore"):
+            vec = self.scale * links.lengths ** (self.tau * self.alpha)
+        if not np.all(np.isfinite(vec)):
+            raise ConfigurationError(
+                f"{self!r} overflows float64 on links up to length "
+                f"{float(links.lengths.max()):.3g}: powers must be positive and finite"
+            )
+        return vec
 
     def power_of_length(self, length: float) -> float:
         """Power for a free-standing link of the given length."""

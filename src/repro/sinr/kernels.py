@@ -43,6 +43,13 @@ automatically misses the old entry; :meth:`KernelCache.invalidate`
 drops all memoized matrices explicitly.  :class:`KernelStats` counts
 dense builds, hits and block evaluations so benchmarks (and curious
 users) can verify the memory ceiling.
+
+The cache also keeps a small LRU memo of GLOBAL-power feasibility
+certificates (positive vectors ``x`` with ``A x < (1 - margin) x``, see
+:mod:`repro.sinr.powercontrol`), keyed by ``(alpha, beta, margin,
+index tuple)``.  The repair pass probes ``slot + [link]``, so a
+certificate of ``slot`` warm-starts the next probe, and the one of the
+final slot is its power witness.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ __all__ = ["KernelCache", "KernelStats", "get_kernel", "power_digest"]
 #: byte budget in constants.py usually binds first for large n).
 _MAX_DENSE_MATRICES = 8
 
+#: Upper bound on memoized feasibility certificates per cache
+#: (LRU-evicted); one per accepted GLOBAL probe set.
+_MAX_CERTIFICATES = 256
+
 #: Upper bound on tracked promotion counters (one per kernel key seen);
 #: oldest entries are dropped beyond this so workloads cycling through
 #: many power vectors don't grow the dict unboundedly.
@@ -97,12 +108,17 @@ class KernelStats:
 
     ``dense_builds`` counts full ``n x n`` materialisations — the
     chunked-mode memory guarantee is exactly ``dense_builds == 0``.
+    ``cw_decisions`` counts GLOBAL feasibility probes decided by the
+    Collatz–Wielandt iteration alone, ``eig_solves`` the ones that fell
+    back to an eigen-solve inside the ambiguity band.
     """
 
     dense_builds: int = 0
     dense_hits: int = 0
     block_evals: int = 0
     entries_served: int = 0
+    cw_decisions: int = 0
+    eig_solves: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -135,6 +151,8 @@ class KernelStats:
             "dense_hits": self.dense_hits,
             "block_evals": self.block_evals,
             "entries_served": self.entries_served,
+            "cw_decisions": self.cw_decisions,
+            "eig_solves": self.eig_solves,
         }
 
 
@@ -197,6 +215,7 @@ class KernelCache:
         self.force_chunked = bool(force_chunked)
         self._dense: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         self._uses: dict = {}
+        self._certificates: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         self.stats = KernelStats()
 
     # ------------------------------------------------------------------
@@ -227,9 +246,10 @@ class KernelCache:
         )
 
     def invalidate(self) -> None:
-        """Drop every memoized matrix and promotion counter."""
+        """Drop every memoized matrix, promotion counter and certificate."""
         self._dense.clear()
         self._uses.clear()
+        self._certificates.clear()
 
     def __repr__(self) -> str:
         mode = "chunked" if self.chunked else "dense"
@@ -287,6 +307,29 @@ class KernelCache:
         while len(self._uses) > _MAX_PROMOTION_KEYS:
             self._uses.pop(next(iter(self._uses)))
         return None
+
+    # ------------------------------------------------------------------
+    # Feasibility certificates (GLOBAL power)
+    # ------------------------------------------------------------------
+    def certificate(self, key: Tuple) -> Optional[np.ndarray]:
+        """The memoized certificate for ``key``, if any (read-only)."""
+        x = self._certificates.get(key)
+        if x is not None:
+            self._certificates.move_to_end(key)
+        return x
+
+    def remember_certificate(self, key: Tuple, x: np.ndarray) -> None:
+        """Memoize ``x`` as the certificate for ``key`` (LRU-bounded)."""
+        x.setflags(write=False)
+        self._certificates[key] = x
+        self._certificates.move_to_end(key)
+        while len(self._certificates) > _MAX_CERTIFICATES:
+            self._certificates.popitem(last=False)
+
+    @property
+    def certificates_memoized(self) -> int:
+        """How many certificates the memo holds now."""
+        return len(self._certificates)
 
     # ------------------------------------------------------------------
     # Block iteration

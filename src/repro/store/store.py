@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bumped whenever the on-disk payload format changes; entries written
 #: under another version are treated as misses and rewritten.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Default bound on memoized artifacts (all stages together).
 DEFAULT_MEMORY_ENTRIES = 128
