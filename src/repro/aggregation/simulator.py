@@ -6,10 +6,12 @@ Time proceeds in synchronized slots.  A periodic schedule with period
 ``C`` activates its slots cyclically.  Every ``injection_period`` slots,
 each node takes a fresh *reading* belonging to a new *frame*.  When a
 tree link ``v -> parent(v)`` is activated, ``v`` transmits the partial
-aggregate of the **oldest frame that is complete at v** — one whose
-contributions from all of ``v``'s children (and its own reading) have
-arrived.  The sink completes a frame when all its children have
-reported.
+aggregate of the **oldest frame that is ready at v**.  A frame ``f`` is
+ready at ``v`` exactly when ``f`` is in ``v``'s buffer and ``v`` has
+received ``num_children(v)`` reports for ``f``.  (The node's own reading
+enters the buffer at injection, before any child can report, so it
+adds no condition.)  The sink completes a frame when all its children
+have reported.
 
 With ``injection_period = C`` each link serves one frame per period, so
 buffers stay bounded (the schedule *sustains* rate ``1/C``); with
@@ -17,10 +19,24 @@ buffers stay bounded (the schedule *sustains* rate ``1/C``); with
 paper's Fig. 1 discussion describes.  The simulator measures both, plus
 per-frame latency, and verifies every completed aggregate against the
 centralised reference value.
+
+Cost
+----
+:meth:`AggregationSimulator.run` keeps its state incrementally, so no
+slot rescans the network:
+
+* a frame is pushed on its node's ready min-heap at the one event that
+  makes it ready (injection at a leaf, or the report that brings the
+  count to ``num_children``), and an activation pops the heap minimum;
+* backlog is a running count of buffered (node, frame) partials.
+
+That is ``O(activations · log F + frames · n)`` for ``F`` frames in
+flight and ``n`` nodes.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -86,20 +102,6 @@ class SimulationResult:
         )
 
 
-class _NodeState:
-    """Per-node buffers: frame -> (accumulated value, reports received).
-
-    A frame leaves the buffer when its partial is forwarded upstream, so
-    ``len(acc)`` is the node's backlog.
-    """
-
-    __slots__ = ("acc", "reports")
-
-    def __init__(self) -> None:
-        self.acc: Dict[int, object] = {}
-        self.reports: Dict[int, int] = {}
-
-
 class AggregationSimulator:
     """Runs frame-level convergecast over a tree and a periodic schedule.
 
@@ -125,11 +127,6 @@ class AggregationSimulator:
         self.tree = tree
         self.schedule = schedule
         self.function = function
-        self._num_children = {v: len(c) for v, c in tree.children().items()}
-        links = tree.links()
-        self._link_nodes = [
-            (int(s), int(r)) for s, r in zip(links.sender_ids, links.receiver_ids)
-        ]
 
     # ------------------------------------------------------------------
     def run(
@@ -177,103 +174,85 @@ class AggregationSimulator:
             drain = (self.tree.height() + 2) * period
             max_slots = num_frames * injection_period + drain + period
 
-        expected = [self.function.aggregate(readings[f]) for f in range(num_frames)]
-        state = {v: _NodeState() for v in range(n)}
+        lift, combine = self.function.lift, self.function.combine
         sink = self.tree.sink
+        children = self.tree.children()
+        num_children = [len(children[v]) for v in range(n)]
+        leaves = [v for v in range(n) if num_children[v] == 0]
+        links = self.tree.links()
+        link_nodes = list(zip(links.sender_ids.tolist(), links.receiver_ids.tolist()))
+        slot_pairs = [
+            tuple(link_nodes[i] for i in slot.link_indices)
+            for slot in self.schedule.slots
+        ]
+        # Per node: frame -> partial aggregate, frame -> reports received
+        # (kept only while 0 < reports < num_children), and the min-heap
+        # of ready frames.  The sink never sends, so its heap stays empty.
+        acc: List[Dict[int, object]] = [{} for _ in range(n)]
+        reports: List[Dict[int, int]] = [{} for _ in range(n)]
+        ready: List[List[int]] = [[] for _ in range(n)]
         completed: Dict[int, int] = {}
-        injected_at: Dict[int, int] = {}
-        result = SimulationResult(
-            frames_injected=0, frames_completed=0, frames_requested=num_frames
-        )
+        # Buffered (node, frame) partials.  A completed frame stays in the
+        # sink's buffer forever (the sink never sends), and nothing else
+        # stays there, so backlog == entries - len(completed).
+        entries = 0
+        max_backlog = 0
+        injected = 0
+        slots_elapsed = max_slots
 
         for slot_time in range(max_slots):
-            if slot_time % injection_period == 0:
-                frame = slot_time // injection_period
-                if frame < num_frames:
-                    self._inject(state, readings[frame], frame)
-                    injected_at[frame] = slot_time
-                    result.frames_injected += 1
-                    self._check_sink_completion(state[sink], frame, slot_time, completed)
-            active = self.schedule.slots[slot_time % period]
-            for link_index in active.link_indices:
-                self._transmit(state, link_index, slot_time, completed)
-            backlog = sum(len(s.acc) for s in state.values()) - len(
-                [f for f in state[sink].acc if f in completed]
-            )
-            result.max_backlog = max(result.max_backlog, backlog)
-            if len(completed) == num_frames and result.frames_injected == num_frames:
-                result.slots_elapsed = slot_time + 1
+            if slot_time % injection_period == 0 and injected < num_frames:
+                frame = injected
+                # No node can hold a frame before its injection, so every
+                # reading opens a fresh buffer entry.
+                for node, reading in zip(acc, readings[frame].tolist()):
+                    node[frame] = lift(reading)
+                entries += n
+                injected += 1
+                for v in leaves:
+                    heapq.heappush(ready[v], frame)
+            for sender, parent in slot_pairs[slot_time % period]:
+                heap = ready[sender]
+                if not heap:
+                    continue
+                frame = heapq.heappop(heap)  # oldest ready frame moves first
+                value = acc[sender].pop(frame)
+                # The parent holds this frame until all its children,
+                # the sender included, have reported it.
+                receiver = acc[parent]
+                receiver[frame] = combine(receiver[frame], value)
+                entries -= 1
+                count = reports[parent].pop(frame, 0) + 1
+                if count < num_children[parent]:
+                    reports[parent][frame] = count
+                elif parent == sink:
+                    completed[frame] = slot_time + 1
+                else:
+                    heapq.heappush(ready[parent], frame)
+            backlog = entries - len(completed)
+            if backlog > max_backlog:
+                max_backlog = backlog
+            if len(completed) == num_frames and injected == num_frames:
+                slots_elapsed = slot_time + 1
                 break
-        else:
-            result.slots_elapsed = max_slots
 
-        result.frames_completed = len(completed)
-        result.latencies = [completed[f] - injected_at[f] for f in sorted(completed)]
-        result.final_backlog = sum(len(s.acc) for s in state.values()) - len(
-            [f for f in state[sink].acc if f in completed]
+        result = SimulationResult(
+            frames_injected=injected,
+            frames_completed=len(completed),
+            frames_requested=num_frames,
+            latencies=[
+                completed[f] - f * injection_period for f in sorted(completed)
+            ],
+            max_backlog=max_backlog,
+            final_backlog=entries - len(completed),
+            slots_elapsed=slots_elapsed,
         )
-        for f, _finish in completed.items():
-            got = self.function.finalize(state[sink].acc[f])
-            want = expected[f]
+        for f in completed:
+            got = self.function.finalize(acc[sink][f])
+            want = self.function.aggregate(readings[f])
             if isinstance(got, float) and isinstance(want, float):
                 if not np.isclose(got, want, rtol=1e-9, atol=1e-9):
                     result.values_correct = False
             elif got != want:
                 result.values_correct = False
         return result
-
-    # ------------------------------------------------------------------
-    def _inject(self, state: Dict[int, _NodeState], readings: np.ndarray, frame: int) -> None:
-        for v in range(len(self.tree.points)):
-            node = state[v]
-            lifted = self.function.lift(float(readings[v]))
-            if frame in node.acc:
-                node.acc[frame] = self.function.combine(node.acc[frame], lifted)
-            else:
-                node.acc[frame] = lifted
-                node.reports.setdefault(frame, 0)
-
-    def _frame_ready(self, node: _NodeState, v: int, frame: int) -> bool:
-        """All children reported and the node's own reading is present."""
-        return frame in node.acc and node.reports.get(frame, 0) == self._num_children[v]
-
-    def _transmit(
-        self,
-        state: Dict[int, _NodeState],
-        link_index: int,
-        slot_time: int,
-        completed: Dict[int, int],
-    ) -> None:
-        sender, parent = self._link_nodes[link_index]
-        node = state[sender]
-        ready = [f for f in node.acc if self._frame_ready(node, sender, f)]
-        if not ready:
-            return
-        frame = min(ready)  # oldest complete frame moves first
-        value = node.acc.pop(frame)
-        node.reports.pop(frame, None)
-        receiver = state[parent]
-        if frame in receiver.acc:
-            receiver.acc[frame] = self.function.combine(receiver.acc[frame], value)
-        else:
-            # Child partial can only arrive after the shared injection
-            # instant, so this branch guards against misuse rather than
-            # a reachable schedule state.
-            receiver.acc[frame] = value
-        receiver.reports[frame] = receiver.reports.get(frame, 0) + 1
-        self._check_sink_completion(
-            state[self.tree.sink], frame, slot_time + 1, completed
-        )
-
-    def _check_sink_completion(
-        self,
-        sink_state: _NodeState,
-        frame: int,
-        time: int,
-        completed: Dict[int, int],
-    ) -> None:
-        sink = self.tree.sink
-        if frame in completed:
-            return
-        if frame in sink_state.acc and sink_state.reports.get(frame, 0) == self._num_children[sink]:
-            completed[frame] = time

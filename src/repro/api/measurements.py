@@ -86,7 +86,8 @@ def _measure_schedule(ctx: MeasurementContext, record: Any) -> None:
         sim = AggregationSimulator(ctx.tree, schedule).run(ctx.num_frames, rng=ctx.rng)
         record.frames_injected = sim.frames_injected
         record.frames_completed = sim.frames_completed
-        record.mean_latency = float(sim.mean_latency)
+        # No completed frame means no latency: record None, never NaN.
+        record.mean_latency = float(sim.mean_latency) if sim.latencies else None
         record.max_latency = int(sim.max_latency)
         record.stable = bool(sim.stable)
 

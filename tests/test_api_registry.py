@@ -284,6 +284,24 @@ class TestPipeline:
         schedule, report = ctx.schedule()
         assert ctx.schedule()[0] is schedule  # cached
 
+    def test_schedule_measurement_never_records_nan(self, monkeypatch):
+        from repro.aggregation.simulator import AggregationSimulator
+        from repro.runner.results import CellResult
+
+        run = AggregationSimulator.run
+        # One slot completes no frame, so the simulation has no latency.
+        monkeypatch.setattr(
+            AggregationSimulator, "run", lambda self, *a, **k: run(self, *a, max_slots=1, **k)
+        )
+        pipe = Pipeline(PipelineConfig(topology="grid", n=9))
+        points = pipe.deploy()
+        ctx = MeasurementContext(pipe, points, pipe.build_tree(points), num_frames=3)
+        record = CellResult("c", "grid", 9, "global", 3.0, 1.0, 0)
+        measurements.get("schedule")(ctx, record)
+        assert record.frames_completed == 0 and record.stable is False
+        assert record.mean_latency is None
+        json.dumps(record.to_json_dict(), allow_nan=False)
+
 
 # ----------------------------------------------------------------------
 # Public-surface lock and back-compat
