@@ -1,7 +1,7 @@
 """Pluggable numeric backends — the seventh registry.
 
 The SINR compute layer (kernel blocks, reductions, feasibility linear
-algebra, conflict-adjacency assembly) sits behind the
+algebra) sits behind the
 :class:`~repro.backend.base.NumericBackend` interface, selected by name
 like every other pipeline axis:
 
@@ -9,9 +9,9 @@ like every other pipeline axis:
     The reference backend — plain vectorised numpy with dense
     memoization, byte-identical to the seed implementation.  Default.
 ``blocked-sparse``
-    Streams every block, forbids dense ``n x n`` memos
-    (``dense_builds == 0`` by construction) and assembles the conflict
-    adjacency as CSR — the backend that schedules 100k-link networks.
+    Streams every block and forbids dense ``n x n`` memos
+    (``dense_builds == 0`` by construction) — the backend that
+    schedules 100k-link networks.
 
 Backends are **bit-identical by contract**: schedules, slot
 assignments and measurements do not depend on the backend, which is why
@@ -28,14 +28,13 @@ from typing import Optional, Union
 from repro.api.registry import Registry
 from repro.backend.base import NumericBackend
 from repro.backend.dense import DenseNumpyBackend
-from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
+from repro.backend.sparse import BlockedSparseBackend
 
 __all__ = [
     "BlockedSparseBackend",
     "DEFAULT_BACKEND",
     "DenseNumpyBackend",
     "NumericBackend",
-    "SparseAdjacency",
     "numeric_backends",
     "register_backend",
     "resolve_backend",

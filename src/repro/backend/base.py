@@ -5,8 +5,7 @@ A backend owns the *inner math* of the SINR compute layer: building
 kernel blocks (gap / sender-receiver geometry, additive, relative,
 affectance), reducing them (column sums, additive interference), the
 linear-algebra feasibility primitives (spectral radius, feasibility
-margin) and conflict-adjacency assembly.  Everything *around* that math
-— dense memoization, lazy promotion, chunk iteration, statistics —
+margin).  Everything *around* that math — dense memoization, lazy promotion, chunk iteration, statistics —
 stays in :class:`~repro.sinr.kernels.KernelCache`, which delegates every
 numeric block to its backend.
 
@@ -14,36 +13,21 @@ The contract that makes backends swappable mid-pipeline:
 
 **bit-identity** — every backend MUST produce byte-identical results to
 ``dense-numpy`` for every method below.  Backends differ in *how* they
-schedule the work (never materialising dense matrices, assembling CSR
-adjacency), never in *what* they compute.
+schedule the work (never materialising dense matrices), never in
+*what* they compute.
 This is why backend choice does not split store keys
 (:mod:`repro.store.keys`) and why sweep rows are comparable across
 backends.
 
-Two capability flags shape orchestration:
-
-``allows_dense``
-    May the kernel cache memoize full dense ``n x n`` matrices?  When
-    false the cache behaves as if ``force_chunked`` were set and its
-    ``dense_builds`` counter stays at zero by construction.
-``sparse_adjacency``
-    Should :class:`~repro.conflict.graph.ConflictGraph` assemble its
-    adjacency structure as CSR (via :meth:`assemble_adjacency`) instead
-    of a dense boolean matrix?
+One capability flag shapes orchestration: ``allows_dense`` — may the
+kernel cache memoize full dense ``n x n`` matrices?  When false the
+cache behaves as if ``force_chunked`` were set and its ``dense_builds``
+counter stays at zero by construction.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-)
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,22 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.links.linkset import LinkSet
     from repro.sinr.kernels import KernelCache
 
-__all__ = ["CandidateSource", "NumericBackend", "map_blocks_ordered"]
-
-
-class CandidateSource(Protocol):
-    """A source of ``(rows, cols)`` block pairs that *may* contain edges.
-
-    The spatial-pruning contract: any global index pair ``(i, j)`` that
-    is adjacent in the conflict graph MUST appear in at least one
-    yielded block pair, and no pair may appear in more than one (each
-    tile is evaluated exactly once).  The canonical implementation is
-    :class:`repro.geometry.spatial.GridCandidateGenerator`.
-    """
-
-    def pairs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield candidate ``(rows, cols)`` global-index block pairs."""
-        ...
+__all__ = ["NumericBackend", "map_blocks_ordered"]
 
 
 class NumericBackend:
@@ -85,8 +54,6 @@ class NumericBackend:
     name: str = "abstract"
     #: Whether the kernel cache may memoize dense ``n x n`` matrices.
     allows_dense: bool = True
-    #: Whether conflict graphs should assemble CSR adjacency.
-    sparse_adjacency: bool = False
 
     # ------------------------------------------------------------------
     # Geometry blocks
@@ -198,60 +165,6 @@ class NumericBackend:
     def feasibility_margin(self, matrix: np.ndarray) -> float:
         """``1 - rho(A)`` — positive iff some power assignment works."""
         return 1.0 - self.spectral_radius(matrix)
-
-    # ------------------------------------------------------------------
-    # Conflict adjacency
-    # ------------------------------------------------------------------
-    def _adjacency_pairs(
-        self,
-        cache: "KernelCache",
-        candidates: Optional[CandidateSource],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Tile list for adjacency assembly: the candidate source's
-        pairs when pruning, else every row-block x col-block tile.
-
-        The unpruned path is tile-granular too (not row strips), so
-        ``KernelStats.block_evals`` counts the same unit of work either
-        way and pruned-vs-unpruned comparisons are apples-to-apples.
-        """
-        if candidates is not None:
-            return list(candidates.pairs())
-        blocks = list(cache.iter_blocks(np.arange(cache.n)))
-        return [(rows, cols) for rows in blocks for cols in blocks]
-
-    def assemble_adjacency(
-        self,
-        cache: "KernelCache",
-        block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        candidates: Optional[CandidateSource] = None,
-    ) -> Any:
-        """Assemble the conflict adjacency from boolean blocks.
-
-        ``block_fn(rows, cols)`` returns the boolean adjacency block for
-        the given global indices (diagonal already cleared).  Dense
-        backends fill an ``n x n`` boolean matrix; sparse backends
-        return a :class:`~repro.backend.sparse.SparseAdjacency`.
-
-        ``candidates`` is the spatial-pruning seam: when given, only its
-        block pairs are evaluated and every other tile is left at the
-        zero-initialised default — sound because a conservative
-        candidate source covers all edges, and bit-identical because a
-        skipped tile is exactly all-``False``.  Tiles are evaluated with
-        ``cache.block_workers`` threads via :func:`map_blocks_ordered`,
-        which preserves the serial tile order.
-        """
-        n = cache.n
-        adjacent = np.zeros((n, n), dtype=bool)
-        tiles = self._adjacency_pairs(cache, candidates)
-
-        def build(tile: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-            return block_fn(tile[0], tile[1])
-
-        for (rows, cols), block in map_blocks_ordered(
-            build, tiles, cache.block_workers
-        ):
-            adjacent[np.ix_(rows, cols)] = block
-        return adjacent
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -25,7 +25,6 @@ class DenseNumpyBackend(NumericBackend):
 
     name = "dense-numpy"
     allows_dense = True
-    sparse_adjacency = False
 
     # ------------------------------------------------------------------
     # Geometry blocks

@@ -1,172 +1,23 @@
-"""``blocked-sparse`` — streamed blocks + CSR conflict adjacency.
+"""``blocked-sparse`` — streamed kernel blocks, never a dense memo.
 
-In the near-threshold regime most affectance entries are negligible and
-the conflict adjacency is sparse (bounded degree by the paper's
-diversity argument), so the two dense ``O(n^2)`` allocations that
-dominate large instances — memoized kernel matrices and the boolean
-conflict adjacency — are both avoidable:
-
-* kernel blocks use the exact ``dense-numpy`` expressions (bit-identity
-  contract: no entry is ever dropped, however small), but the backend
-  sets ``allows_dense = False`` so the kernel cache never promotes a
-  full ``n x n`` matrix — ``dense_builds == 0`` by construction, and
-  column sums stream over row blocks;
-* conflict adjacency is assembled blockwise into CSR
-  (:class:`SparseAdjacency`): boolean row blocks are scanned for edges
-  and only the ``O(n * max_degree)`` index arrays are kept.
-
-The CSR assembly is hand-rolled (COO chunks -> indptr/indices) so the
-backend has no hard scipy dependency; :meth:`SparseAdjacency.to_scipy`
-exports a ``csr_matrix`` when scipy is installed.
+In the near-threshold regime most affectance entries are negligible,
+so the dense ``O(n^2)`` memoized kernel matrices that dominate large
+instances are avoidable.  Kernel blocks use the exact ``dense-numpy``
+expressions (bit-identity contract: no entry is ever dropped, however
+small), but the backend sets ``allows_dense = False`` so the kernel
+cache never promotes a full ``n x n`` matrix — ``dense_builds == 0`` by
+construction, and column sums stream over row blocks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
-
-import numpy as np
-
-from repro.backend.base import CandidateSource, map_blocks_ordered
 from repro.backend.dense import DenseNumpyBackend
-from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sinr.kernels import KernelCache
-
-__all__ = ["BlockedSparseBackend", "SparseAdjacency"]
-
-#: Largest dense boolean adjacency (in bytes) that
-#: :meth:`SparseAdjacency.to_dense` will materialise on demand.
-_DENSE_ADJACENCY_BUDGET_BYTES = 256 * 1024 * 1024
-
-
-class SparseAdjacency:
-    """A symmetric boolean adjacency in CSR form.
-
-    Parameters
-    ----------
-    indptr:
-        ``(n + 1,)`` int64 row pointers.
-    indices:
-        Column indices, row-major; each row's slice is sorted.
-    """
-
-    __slots__ = ("indptr", "indices", "n", "_dense")
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.n = int(self.indptr.size - 1)
-        self._dense: Any = None
-
-    # ------------------------------------------------------------------
-    @property
-    def edge_count(self) -> int:
-        """Number of undirected edges."""
-        return int(self.indices.size // 2)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbour indices of vertex ``i``."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def degrees(self) -> np.ndarray:
-        """All vertex degrees as one vector."""
-        return np.diff(self.indptr)
-
-    def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n else 0
-
-    def are_adjacent(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return bool(pos < row.size and row[pos] == j)
-
-    def has_internal_edge(self, subset: np.ndarray) -> bool:
-        """Whether any edge connects two vertices of ``subset``."""
-        subset = np.asarray(subset, dtype=int)
-        if subset.size < 2:
-            return False
-        members = np.zeros(self.n, dtype=bool)
-        members[subset] = True
-        for i in subset:
-            row = self.neighbors(i)
-            if row.size and members[row].any():
-                return True
-        return False
-
-    def to_dense(self) -> np.ndarray:
-        """The dense boolean matrix (cached; guarded by a byte budget)."""
-        if self._dense is None:
-            if self.n * self.n > _DENSE_ADJACENCY_BUDGET_BYTES:
-                raise ConfigurationError(
-                    f"dense adjacency for n={self.n} would exceed the "
-                    f"{_DENSE_ADJACENCY_BUDGET_BYTES} byte budget; use "
-                    "neighbors()/degrees() on the sparse structure instead"
-                )
-            dense = np.zeros((self.n, self.n), dtype=bool)
-            rows = np.repeat(np.arange(self.n), self.degrees())
-            dense[rows, self.indices] = True
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
-
-    def to_scipy(self):
-        """Export as ``scipy.sparse.csr_matrix`` (requires scipy)."""
-        try:
-            from scipy.sparse import csr_matrix
-        except ImportError as exc:  # pragma: no cover - scipy is bundled
-            raise ConfigurationError("scipy is required for to_scipy()") from exc
-        data = np.ones(self.indices.size, dtype=bool)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
-    def __repr__(self) -> str:
-        return f"SparseAdjacency(n={self.n}, edges={self.edge_count})"
+__all__ = ["BlockedSparseBackend"]
 
 
 class BlockedSparseBackend(DenseNumpyBackend):
-    """Identical block math, but never-dense memos + CSR adjacency."""
+    """Identical block math, but never-dense memos."""
 
     name = "blocked-sparse"
     allows_dense = False
-    sparse_adjacency = True
-
-    def assemble_adjacency(
-        self,
-        cache: "KernelCache",
-        block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        candidates: Optional[CandidateSource] = None,
-    ) -> SparseAdjacency:
-        n = cache.n
-        tiles = self._adjacency_pairs(cache, candidates)
-        row_chunks: List[np.ndarray] = []
-        col_chunks: List[np.ndarray] = []
-
-        def build(tile: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-            return block_fn(tile[0], tile[1])
-
-        for (rows, cols), block in map_blocks_ordered(
-            build, tiles, cache.block_workers
-        ):
-            local_rows, local_cols = np.nonzero(block)
-            if local_rows.size:
-                row_chunks.append(rows[local_rows].astype(np.int64, copy=False))
-                col_chunks.append(cols[local_cols].astype(np.int64, copy=False))
-        if row_chunks:
-            edge_rows = np.concatenate(row_chunks)
-            edge_cols = np.concatenate(col_chunks)
-            # Canonicalise the COO chunks to CSR order (rows ascending,
-            # columns sorted within each row); each global (i, j) lives
-            # in exactly one tile, so no duplicate handling is needed.
-            order = np.lexsort((edge_cols, edge_rows))
-            edge_rows = edge_rows[order]
-            indices = edge_cols[order]
-            counts = np.bincount(edge_rows, minlength=n).astype(np.int64)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return SparseAdjacency(indptr, indices)

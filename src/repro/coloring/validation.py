@@ -16,8 +16,8 @@ def is_proper_coloring(graph: ConflictGraph, colors: np.ndarray) -> bool:
     colors = np.asarray(colors, dtype=int)
     if colors.shape != (graph.n,) or np.any(colors < 0):
         return False
-    same = colors[:, None] == colors[None, :]
-    return not bool((same & graph.adjacency).any())
+    rows, cols = graph.edges()
+    return not bool((colors[rows] == colors[cols]).any())
 
 
 def color_classes(colors: np.ndarray) -> Dict[int, List[int]]:

@@ -15,6 +15,7 @@ they conflict.  The three instantiations used by the paper:
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -42,26 +43,24 @@ class ThresholdFunction(abc.ABC):
         """Evaluate at a single point."""
         return float(self(np.asarray([x], dtype=float))[0])
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """Conservative upper bound on the conflict radius over ``lengths``.
+    @property
+    @abc.abstractmethod
+    def slope_bound(self) -> float:
+        """``s_f = sup_{x >= 1} f(x) / x``, finite because ``f`` is sub-linear."""
 
-        Two links conflict only when ``d(i, j) <= l_min * f(l_max/l_min)``,
-        so for any pair drawn from ``lengths`` the gap distance of a
-        conflicting pair is at most this bound.  It is the contract the
-        grid-bucket candidate generator
-        (:mod:`repro.geometry.spatial`) relies on: link pairs farther
-        apart than ``max_radius`` need never be evaluated.
+    def link_radii(self, lengths: np.ndarray) -> np.ndarray:
+        """Per-link conflict radius ``r_i = max(l_i f(L_max/l_i), l_i s_f)``.
 
-        The default exploits only the class contract (``f`` positive and
-        non-decreasing): ``l_min * f(l_max/l_min) <= L_max * f(Delta)``
-        with ``L_max = max(lengths)`` and diversity
-        ``Delta = L_max / L_min``.  Subclasses override it with tighter
-        per-threshold bounds.
+        Every conflicting pair has ``d(i, j) <= l_min * f(l_max/l_min)
+        <= min(r_i, r_j)``: the shorter link's first term covers it
+        because ``f`` is non-decreasing and ``l_max <= L_max``, and the
+        longer link's second term because ``l_min f(l_max/l_min) =
+        l_max * f(x)/x`` with ``x = l_max/l_min``.  The conflict-graph
+        build (:mod:`repro.conflict.graph`) sizes its grid cells by it.
         """
         lengths = np.asarray(lengths, dtype=float)
-        lmax = float(lengths.max())
-        lmin = float(lengths.min())
-        return lmax * self.scalar(lmax / lmin)
+        reach = lengths * self(lengths.max() / lengths)
+        return np.maximum(reach, lengths * self.slope_bound)
 
 
 class ConstantThreshold(ThresholdFunction):
@@ -77,10 +76,9 @@ class ConstantThreshold(ThresholdFunction):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(x, dtype=float), self.gamma)
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max``: the pair bound ``l_min * gamma`` is largest
-        when the shorter link is as long as possible."""
-        return self.gamma * float(np.asarray(lengths, dtype=float).max())
+    @property
+    def slope_bound(self) -> float:
+        return self.gamma
 
     def __repr__(self) -> str:
         return f"ConstantThreshold(gamma={self.gamma})"
@@ -103,15 +101,10 @@ class PowerLawThreshold(ThresholdFunction):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * np.asarray(x, dtype=float) ** self.delta
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max``, independent of the diversity.
-
-        The pair bound is ``gamma * l_min^(1-delta) * l_max^delta``,
-        which with ``0 < delta < 1`` and ``l_min <= l_max <= L_max`` is
-        at most ``gamma * L_max`` — far tighter than the generic
-        ``L_max * f(Delta)`` bound when lengths are diverse.
-        """
-        return self.gamma * float(np.asarray(lengths, dtype=float).max())
+    @property
+    def slope_bound(self) -> float:
+        """``gamma``: ``f(x)/x = gamma x^(delta-1)`` peaks at ``x = 1``."""
+        return self.gamma
 
     def __repr__(self) -> str:
         return f"PowerLawThreshold(gamma={self.gamma}, delta={self.delta})"
@@ -137,16 +130,16 @@ class LogThreshold(ThresholdFunction):
         logs = np.log2(np.maximum(x, 1.0))
         return self.gamma * np.maximum(1.0, logs**self.exponent)
 
-    def max_radius(self, lengths: np.ndarray) -> float:
-        """``gamma * L_max * max(1, log2(Delta)^(2/(alpha-2)))``.
-
-        For any pair, ``l_min <= L_max`` and ``l_max/l_min <= Delta``,
-        and the log factor is non-decreasing, so the product bounds
-        every pair's ``l_min * f(l_max/l_min)``.
-        """
-        lengths = np.asarray(lengths, dtype=float)
-        lmax = float(lengths.max())
-        return lmax * self.scalar(lmax / float(lengths.min()))
+    @property
+    def slope_bound(self) -> float:
+        """``gamma * max(1, (e/ln 2)^e * e^-e)`` with ``e = 2/(alpha-2)``:
+        ``log2(x)^e / x`` peaks at ``ln x = e``; about ``1.13 gamma``
+        at ``alpha = 3``."""
+        e = self.exponent
+        log_peak = e * (math.log(e / math.log(2.0)) - 1.0)
+        if log_peak > 700.0:  # alpha near 2: the peak overflows float64
+            return math.inf
+        return self.gamma * math.exp(max(0.0, log_peak))
 
     def __repr__(self) -> str:
         return f"LogThreshold(gamma={self.gamma}, alpha={self.alpha})"

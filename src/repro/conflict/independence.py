@@ -15,12 +15,17 @@ from repro.conflict.graph import ConflictGraph
 __all__ = ["inductive_independence_number"]
 
 
-def _greedy_independent_size(adjacency: np.ndarray, candidates: np.ndarray) -> int:
-    """Size of a maximal independent set grown greedily over candidates."""
+def _induced(graph: ConflictGraph, vertices: np.ndarray) -> np.ndarray:
+    """Dense adjacency among ``vertices`` (local indices), from the CSR."""
+    return np.array([np.isin(vertices, graph.neighbors(v)) for v in vertices])
+
+
+def _greedy_independent_size(adjacency: np.ndarray) -> int:
+    """Size of a maximal independent set grown greedily in index order."""
     chosen: list[int] = []
-    for v in candidates:
+    for v in range(adjacency.shape[0]):
         if not any(adjacency[v, u] for u in chosen):
-            chosen.append(int(v))
+            chosen.append(v)
     return len(chosen)
 
 
@@ -33,23 +38,23 @@ def inductive_independence_number(graph: ConflictGraph, *, exact_limit: int = 16
     greedily (a lower bound) otherwise.  Returns the maximum over ``i``.
     """
     lengths = graph.links.lengths
-    adjacency = graph.adjacency
     worst = 0
     for i in range(graph.n):
         nbrs = graph.neighbors(i)
         nbrs = nbrs[lengths[nbrs] >= lengths[i]]
         if nbrs.size == 0:
             continue
+        adjacency = _induced(graph, nbrs)
         if nbrs.size <= exact_limit:
-            worst = max(worst, _exact_independent_size(adjacency, nbrs))
+            worst = max(worst, _exact_independent_size(adjacency))
         else:
-            worst = max(worst, _greedy_independent_size(adjacency, nbrs))
+            worst = max(worst, _greedy_independent_size(adjacency))
     return worst
 
 
-def _exact_independent_size(adjacency: np.ndarray, vertices: np.ndarray) -> int:
+def _exact_independent_size(adjacency: np.ndarray) -> int:
     """Exact maximum independent set by branch and bound on few vertices."""
-    verts = list(int(v) for v in vertices)
+    verts = list(range(adjacency.shape[0]))
 
     def recurse(remaining: list[int]) -> int:
         if not remaining:

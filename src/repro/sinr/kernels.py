@@ -176,8 +176,8 @@ class KernelCache:
         Numeric backend name or instance (default ``dense-numpy``); see
         :mod:`repro.backend`.
     block_workers:
-        Threads used for independent block evaluations (adjacency tiles,
-        chunked column sums).  Default 1 (serial).  Results are consumed
+        Threads used for independent block evaluations (chunked column
+        sums).  Default 1 (serial).  Results are consumed
         in deterministic submission order regardless of the worker
         count, so parallel runs stay bit-identical to serial ones.
     """
@@ -343,19 +343,6 @@ class KernelCache:
     # ------------------------------------------------------------------
     # Geometry blocks
     # ------------------------------------------------------------------
-    def gap_submatrix(self, rows, cols) -> np.ndarray:
-        """Gap distances ``d(i, j)`` for ``i`` in rows, ``j`` in cols.
-
-        Zero whenever the global indices coincide (same convention as
-        :meth:`LinkSet.link_distances`).  Computed blockwise — the full
-        matrix is never required.
-        """
-        rows = as_index_array(rows)
-        cols = as_index_array(cols)
-        gap = self.backend.gap_block(self.links, rows, cols)
-        self.stats.count_block(rows.size * cols.size)
-        return gap
-
     def srdist_submatrix(self, rows, cols) -> np.ndarray:
         """Sender-receiver distances ``D[j, i] = d(s_j, r_i)``."""
         rows = as_index_array(rows)

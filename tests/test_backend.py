@@ -12,7 +12,8 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.backend.dense import DenseNumpyBackend
-from repro.backend.sparse import BlockedSparseBackend, SparseAdjacency
+from repro.backend.sparse import BlockedSparseBackend
+from repro.conflict.adjacency import SparseAdjacency
 from repro.conflict.graph import ConflictGraph
 from repro.conflict.functions import ConstantThreshold
 from repro.errors import ConfigurationError
@@ -160,9 +161,10 @@ def _graph_pair(n=40, rng=11, gamma=1.0):
 
 class TestSparseAdjacency:
     def test_sparse_graph_holds_csr_not_dense(self):
-        _, sparse = _graph_pair()
-        assert isinstance(sparse._sparse, SparseAdjacency)
-        assert sparse._adjacency is None
+        # CSR is the only representation, whatever the backend.
+        for graph in _graph_pair():
+            assert isinstance(graph._csr, SparseAdjacency)
+            assert graph._csr._matrix is None
 
     def test_csr_matches_dense_adjacency(self):
         dense, sparse = _graph_pair(n=30, rng=5)
@@ -201,7 +203,7 @@ class TestSparseAdjacency:
     def test_to_scipy_roundtrip(self):
         pytest.importorskip("scipy")
         dense, sparse = _graph_pair(n=15, rng=9)
-        assert (sparse._sparse.to_scipy().toarray() == dense.adjacency).all()
+        assert (sparse._csr.to_scipy().toarray() == dense.adjacency).all()
 
 
 class TestBlockedSparseNeverDense:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.conflict.adjacency import SparseAdjacency
 from repro.conflict.functions import (
     ConstantThreshold,
     LogThreshold,
@@ -208,3 +209,65 @@ class TestInductiveIndependence:
         )
         g = g1_graph(links)
         assert inductive_independence_number(g) == 1
+
+
+class TestChecksNeverDensify:
+    """The coloring checks, the distributed coloring and the inductive
+    independence measure read the CSR: with densification refused they
+    return what the dense-matrix versions returned (pinned values)."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense(self, monkeypatch):
+        def refuse(self):
+            raise ConfigurationError("densified")
+
+        monkeypatch.setattr(SparseAdjacency, "to_dense", refuse)
+
+    @staticmethod
+    def _links(n: int, seed: int) -> LinkSet:
+        from repro.geometry.generators import uniform_square
+        from repro.spanning.tree import AggregationTree
+
+        return AggregationTree.mst(uniform_square(n, rng=seed)).links()
+
+    def test_densification_is_refused(self):
+        with pytest.raises(ConfigurationError, match="densified"):
+            g1_graph(self._links(10, 0)).adjacency
+
+    def test_is_proper_coloring(self):
+        from repro.coloring.greedy import greedy_coloring
+        from repro.coloring.validation import is_proper_coloring
+
+        graph = arbitrary_graph(self._links(40, 1))
+        colors = greedy_coloring(graph)
+        assert is_proper_coloring(graph, colors)
+        i, j = graph.edges()
+        clash = colors.copy()
+        clash[j[0]] = clash[i[0]]
+        assert not is_proper_coloring(graph, clash)
+        assert not is_proper_coloring(graph, np.zeros(graph.n, dtype=int))
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("global", [0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 2, 0, 2, 4, 2,
+                        3, 1, 3, 1, 2, 2, 0, 0, 0, 0, 1, 3, 3, 1]),
+            ("oblivious", [0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 2, 0, 2, 1, 2,
+                           1, 1, 1, 1, 2, 2, 0, 0, 0, 0, 3, 3, 3, 1]),
+        ],
+    )
+    def test_distributed_coloring_and_verify(self, model, mode, expected):
+        from repro.scheduling.distributed import DistributedSchedulingSimulator
+
+        sim = DistributedSchedulingSimulator(model, mode)
+        result = sim.run(self._links(30, 4), rng=11)
+        assert result.colors.tolist() == expected
+        assert result.total_rounds == 98
+
+    @pytest.mark.parametrize("seed, arb, obl", [(0, 3, 2), (1, 2, 2), (2, 3, 2)])
+    def test_inductive_independence(self, seed, arb, obl):
+        links = self._links(60, seed)
+        assert inductive_independence_number(arbitrary_graph(links)) == arb
+        assert inductive_independence_number(oblivious_graph(links)) == obl
+        # The greedy branch (neighbourhoods above the exact limit).
+        assert inductive_independence_number(oblivious_graph(links), exact_limit=1) <= obl
